@@ -10,8 +10,7 @@
 //   3. Sweep B — gain-engine passes {1, 2, 4, 8} (first graph).
 //   4. Sweep C — balance_slack {1.01, 1.05, 1.10} (first graph).
 //   5. Parallel bit-identity spot check: the BSP mover at 1 thread vs
-//      hardware_concurrency (steal on, sharded claims) must produce
-//      byte-identical assignments.
+//      hardware_concurrency must produce byte-identical assignments.
 //
 // Results go to BENCH_refine.json (schema in docs/BENCHMARKS.md).
 // `--smoke` shrinks to two graphs at quarter scale for check.sh's
@@ -248,13 +247,10 @@ int main(int argc, char** argv) {
     refine::ParallelOptions options;
     options.balance_slack = slack;
     options.num_threads = 1;
-    options.steal = false;
     EdgePartition reference = base_part;
     RunContext ref_ctx;
     (void)refine::refine_parallel(knob_graph, reference, options, ref_ctx);
     options.num_threads = 0;  // hardware_concurrency
-    options.steal = true;
-    options.num_shards = 4;
     EdgePartition part = base_part;
     RunContext par_ctx;
     (void)refine::refine_parallel(knob_graph, part, options, par_ctx);

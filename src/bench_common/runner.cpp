@@ -136,13 +136,13 @@ RunResult run_partitioner(const Partitioner& partitioner, const Graph& g,
   const std::uint64_t misses_before = ctx.arena().misses();
 
   const auto start = std::chrono::steady_clock::now();
-  const EdgePartition partition = partitioner.partition(g, config, ctx);
+  result.partition = partitioner.partition(g, config, ctx);
   const auto stop = std::chrono::steady_clock::now();
 
   result.seconds = std::chrono::duration<double>(stop - start).count();
-  result.rf = replication_factor(g, partition);
-  result.balance = balance_factor(partition);
-  result.valid = validate(g, partition, config).ok();
+  result.rf = replication_factor(g, result.partition);
+  result.balance = balance_factor(result.partition);
+  result.valid = validate(g, result.partition, config).ok();
   result.arena_hits = ctx.arena().hits() - hits_before;
   result.arena_misses = ctx.arena().misses() - misses_before;
   const double threads = ctx.telemetry().counter("threads");
@@ -204,18 +204,8 @@ void register_builtin_partitioners() {
     register_partitioner("window_tlp", [] {
       return std::make_unique<stream::WindowTlpPartitioner>();
     });
-    // TLP_SHARDS engages the sharded claim protocol from tools that only
-    // speak registry names (the CLI's transport byte-compare leg in
-    // tools/check.sh); the transport itself then resolves through
-    // TLP_TRANSPORT inside multi_tlp. Sharding is byte-identity-preserving,
-    // so results are comparable with the unsharded default.
     register_partitioner("multi_tlp", [] {
-      MultiTlpOptions options;
-      if (const char* env = std::getenv("TLP_SHARDS")) {
-        options.num_shards =
-            static_cast<std::uint32_t>(std::stoul(env));
-      }
-      return std::make_unique<MultiTlpPartitioner>(options);
+      return std::make_unique<MultiTlpPartitioner>();
     });
     register_partitioner("2ps", [] {
       return std::make_unique<baselines::TwoPhaseStreamingPartitioner>();

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "partition/edge_partition.hpp"
 #include "partition/metrics.hpp"
 #include "partition/partitioner.hpp"
 #include "partition/run_context.hpp"
@@ -20,6 +21,9 @@ struct RunResult {
   double balance = 0.0;   ///< max load / average load
   double seconds = 0.0;   ///< wall-clock partitioning time
   bool valid = false;     ///< complete + in-range per the validator
+  /// The partition the metrics above were computed on, handed back so a
+  /// caller that also writes it (the CLI) never partitions a second time.
+  EdgePartition partition;
   /// Worker threads the run reported via the "threads" telemetry gauge
   /// (parallel multi_tlp); 1 for every single-threaded algorithm.
   int threads = 1;

@@ -27,16 +27,6 @@
 // result is bit-identical for every worker count (including the inline
 // 1-thread path) — only wall-clock time changes with `num_threads`.
 //
-// Scheduling within the parallel phases is work-stealing (default; see
-// MultiTlpOptions::steal and docs/THREADING.md): partitions start on their
-// owning worker (k % W, ascending k) but an idle worker steals pending
-// partition-tasks from the tails of other workers' deques
-// (util/steal_queue.hpp via ThreadPool::run_stealable). Only the schedule
-// moves — which THREAD runs a partition's propose or frontier-update never
-// changes what that task computes, and claim arbitration stays
-// lowest-partition-id-wins at the serial barrier — so the assignment is
-// bit-identical across `num_threads` × `steal` on/off.
-//
 // Every partition keeps its own modularity state and stage, so the
 // Table-II switching logic is unchanged; only the growth schedule differs.
 // Unlike the sequential algorithm, a candidate's residual degree and
@@ -50,33 +40,15 @@
 // super-step machinery adds super_steps / claim_conflicts / stale_claims /
 // seed_collisions / threads. Worker-side phase timers accumulate in
 // per-worker child RunContexts and merge into the parent at the end of the
-// run. The scheduler instruments itself: steals / steal_failures counters,
-// a per-super-step worker_busy series (W entries per step when W > 1), an
-// imbalance gauge (max/mean whole-run worker busy time) and a steal gauge
-// (1 when stealing was active) — these are wall-clock/schedule-dependent
-// and are the ONLY keys besides `threads` allowed to vary across worker
-// counts.
-//
-// Sharded execution (MultiTlpOptions::num_shards > 0) replays the SAME
-// protocol over an in-process message-passing layer (src/dist/): the claim
-// bitmap is sharded by edge_id % S into per-shard allocations, the propose
-// phase SENDS ClaimRequest messages to owning shards over a CommFabric
-// instead of CAS-ing a shared word, each shard resolves its inbox to a
-// winner vector (lowest requesting partition id per free edge), and the
-// barrier merges the per-shard winner vectors with an all-reduce. Winner
-// selection is min-over-requesters — exactly the lowest-id-wins rule the
-// serial scan applies — so the assignment stays bit-identical across every
-// (num_shards × num_threads × steal) combination, a tested contract
-// (docs/THREADING.md, "Sharded claim protocol").
+// run. The scheduler instruments itself: a per-super-step worker_busy
+// series (W entries per step when W > 1) and an imbalance gauge (max/mean
+// whole-run worker busy time) — these are wall-clock-dependent and are the
+// ONLY keys besides `threads` allowed to vary across worker counts.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <optional>
 #include <string>
 
-#include "dist/fault_plan.hpp"
-#include "dist/transport.hpp"
 #include "partition/partitioner.hpp"
 
 namespace tlp {
@@ -89,36 +61,6 @@ struct MultiTlpOptions {
   /// partition result is bit-identical for every value; the count is capped
   /// at num_partitions.
   std::size_t num_threads = 1;
-  /// Work stealing within the parallel phases (default on): idle workers
-  /// take pending partition-tasks from the tails of other workers' deques
-  /// instead of idling at the barrier. Off = static ownership (k % W only).
-  /// Either way the result is bit-identical — the flag exists for A/B
-  /// imbalance measurement (bench/scaling_runtime), not correctness.
-  bool steal = true;
-  /// Claim-state shards for the message-passing execution mode. 0
-  /// (default) keeps the shared-memory claim path: one contiguous bitmap,
-  /// atomic try_claim, serial lowest-id-wins scan. S >= 1 shards the
-  /// bitmap by edge_id % S and runs the claim phase as send-to-owning-
-  /// shard + per-shard resolution + all-reduce commit (see the header
-  /// comment). The assignment is bit-identical for every value; telemetry
-  /// gains `shards`, `messages_sent`, `claim_rounds`, and a per-shard
-  /// `shard_busy` series.
-  std::uint32_t num_shards = 0;
-  /// Transport backing the sharded claim fabric (only meaningful with
-  /// num_shards >= 1). Unset resolves through the TLP_TRANSPORT environment
-  /// knob, then defaults to the in-process mailbox fabric; kSocket /
-  /// kSocketTcp run the SAME protocol over kernel sockets with versioned
-  /// length-prefixed frames (dist/socket_fabric.hpp). The assignment is
-  /// byte-identical across transports; telemetry gains the wire counters
-  /// (bytes_on_wire, frames_sent, barrier_wait_s, backpressure_stalls).
-  std::optional<dist::Transport> transport;
-  /// TEST HOOK: deterministic message faults on the claim fabric
-  /// (drop/duplicate/reorder from a seed; only meaningful with
-  /// num_shards >= 1). Duplicates and reorders must not change the result;
-  /// dropped claim requests either shift a win to the lowest SURVIVING
-  /// requester or make the commit scan throw std::runtime_error — never a
-  /// silent divergence.
-  std::optional<dist::FaultPlan> comm_faults;
 };
 
 class MultiTlpPartitioner : public Partitioner {

@@ -20,11 +20,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 
-#include "dist/transport.hpp"
 #include "partition/edge_partition.hpp"
 #include "partition/partitioner.hpp"
 
@@ -48,20 +46,13 @@ struct RefineOptions {
   /// kGainHeap only: max CONSECUTIVE non-positive-gain moves per pass
   /// (0 = pure hill-climbing). See refine/engine.hpp.
   std::uint32_t escape_budget = 32;
-  /// kParallel only: worker threads (1 = inline, 0 = hardware), work
-  /// stealing, claim transport, heap shards, proposals per barrier. All
-  /// schedule knobs are bit-identity-preserving; heap_shards and
-  /// proposals_per_shard are part of the algorithm. See
-  /// refine/parallel_mover.hpp.
+  /// kParallel only: worker threads (1 = inline, 0 = hardware), heap
+  /// shards, proposals per barrier. The thread count is
+  /// bit-identity-preserving; heap_shards and proposals_per_shard are part
+  /// of the algorithm. See refine/parallel_mover.hpp.
   std::size_t num_threads = 1;
-  bool steal = true;
-  std::uint32_t num_shards = 0;
   std::uint32_t heap_shards = 8;
   std::uint32_t proposals_per_shard = 4;
-  /// kParallel + num_shards >= 1 only: transport backing the claim fabric.
-  /// Unset resolves through TLP_TRANSPORT, then the in-process fabric;
-  /// moves are byte-identical across transports (dist/transport.hpp).
-  std::optional<dist::Transport> transport;
 };
 
 struct RefineResult {
@@ -73,16 +64,9 @@ struct RefineResult {
   std::size_t rollbacks = 0;
   /// kGainHeap/kParallel: full reindexes + heap compactions (0 for greedy).
   std::size_t heap_rebuilds = 0;
-  /// kParallel only: BSP super-steps, barrier conflicts, claim messages.
+  /// kParallel only: BSP super-steps and barrier conflicts.
   std::size_t super_steps = 0;
   std::size_t conflicts = 0;
-  std::uint64_t messages_sent = 0;
-  /// kParallel on a socket transport only (0 elsewhere): wire counters
-  /// summed over both fabric legs.
-  std::uint64_t bytes_on_wire = 0;
-  std::uint64_t frames_sent = 0;
-  std::uint64_t backpressure_stalls = 0;
-  double barrier_wait_s = 0.0;
 };
 
 /// The greedy oracle: ascending-edge-order sweeps applying every strictly

@@ -13,16 +13,12 @@ std::size_t max_degree_of(const Graph& g) {
 
 }  // namespace
 
-ResidualState::ResidualState(const Graph& g, ScratchArena& arena,
-                             std::uint32_t num_shards)
+ResidualState::ResidualState(const Graph& g, ScratchArena& arena)
     : graph_(&g),
-      map_(static_cast<std::size_t>(g.num_edges()), num_shards),
       residual_degree_(arena, g.num_vertices(), max_degree_of(g)),
+      assigned_(arena.acquire<std::uint64_t>(
+          (static_cast<std::size_t>(g.num_edges()) + 63) / 64, 0)),
       unassigned_(g.num_edges()) {
-  shards_.reserve(map_.num_shards());
-  for (std::uint32_t s = 0; s < map_.num_shards(); ++s) {
-    shards_.push_back(arena.acquire<std::uint64_t>(map_.shard_words(s), 0));
-  }
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     residual_degree_.set(v, static_cast<std::uint32_t>(g.degree(v)));
   }
@@ -31,9 +27,7 @@ ResidualState::ResidualState(const Graph& g, ScratchArena& arena,
 void ResidualState::mark_assigned(EdgeId e) {
   assert(!is_assigned(e));
   const auto id = static_cast<std::size_t>(e);
-  const std::size_t local = map_.local_index(id);
-  shards_[map_.owner(id)][ShardMap::word_index(local)] |=
-      ShardMap::bit_mask(local);
+  assigned_[id >> 6] |= std::uint64_t{1} << (id & 63);
   commit_claim(e);
 }
 

@@ -2,22 +2,12 @@
 // degrees. This is the "unpartitioned graph data" the paper's local method
 // operates on — partitions only ever claim residual edges. Both O(m)/O(n)
 // tables come from the run's ScratchArena so repeated runs reuse capacity.
-//
-// The assigned bitmap is SHARDED: edge e lives in shard e % S at local
-// index e / S (core/shard_map.hpp), and every shard is its own arena
-// allocation. The default S == 1 is the classic contiguous layout used by
-// the sequential algorithms and multi_tlp's shared-memory mode; multi_tlp's
-// message-passing mode (MultiTlpOptions::num_shards) constructs S > 1 so
-// each simulated shard rank owns — and is the only writer of — its own
-// allocation (docs/THREADING.md, "Sharded claim protocol").
 #pragma once
 
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <vector>
 
-#include "core/shard_map.hpp"
 #include "graph/graph.hpp"
 #include "partition/run_context.hpp"
 
@@ -103,19 +93,12 @@ class PackedDegreeArray {
 
 class ResidualState {
  public:
-  ResidualState(const Graph& g, ScratchArena& arena,
-                std::uint32_t num_shards = 1);
-
-  /// The edge-id → (shard, local index) arithmetic for the claim bitmap.
-  [[nodiscard]] const ShardMap& shard_map() const { return map_; }
+  ResidualState(const Graph& g, ScratchArena& arena);
 
   [[nodiscard]] bool is_assigned(EdgeId e) const {
     // Bit-packed: the whole table stays cache-resident even for large m.
     const auto id = static_cast<std::size_t>(e);
-    const std::size_t local = map_.local_index(id);
-    return (shards_[map_.owner(id)][ShardMap::word_index(local)] >>
-            ShardMap::bit_offset(local)) &
-           1u;
+    return (assigned_[id >> 6] >> (id & 63)) & 1u;
   }
 
   /// Number of unassigned edges incident to v.
@@ -146,40 +129,21 @@ class ResidualState {
   /// claim is finalized serially with commit_claim().
   bool try_claim(EdgeId e) {
     const auto id = static_cast<std::size_t>(e);
-    const std::size_t local = map_.local_index(id);
-    const std::uint64_t bit = ShardMap::bit_mask(local);
-    std::atomic_ref<std::uint64_t> word(
-        shards_[map_.owner(id)][ShardMap::word_index(local)]);
+    const std::uint64_t bit = std::uint64_t{1} << (id & 63);
+    std::atomic_ref<std::uint64_t> word(assigned_[id >> 6]);
     return (word.fetch_or(bit, std::memory_order_relaxed) & bit) == 0;
   }
 
-  /// Shard-owner claim path for the message-passing mode: a plain (non-
-  /// atomic) read-modify-write of the owning shard's word. Safe only from
-  /// the one thread currently resolving that shard's claim round — shards
-  /// are separate allocations, so claim_owned on DIFFERENT shards never
-  /// touches the same word. Returns whether this call set the bit.
-  bool claim_owned(EdgeId e) {
-    const auto id = static_cast<std::size_t>(e);
-    const std::size_t local = map_.local_index(id);
-    const std::uint64_t bit = ShardMap::bit_mask(local);
-    std::uint64_t& word = shards_[map_.owner(id)][ShardMap::word_index(local)];
-    const bool fresh = (word & bit) == 0;
-    word |= bit;
-    return fresh;
-  }
-
-  /// Serial follow-up to a successful try_claim/claim_owned: decrements
+  /// Serial follow-up to a successful try_claim: decrements
   /// both endpoints' residual degrees and the unassigned count.
   /// Precondition: e's bit is set and commit_claim(e) has not run before.
   void commit_claim(EdgeId e);
 
  private:
   const Graph* graph_;
-  ShardMap map_;
-  /// One bit per edge, one allocation per shard (shards_[s][w] holds local
-  /// indices [64w, 64w+63] of shard s).
-  std::vector<ScratchArena::Lease<std::uint64_t>> shards_;
   PackedDegreeArray residual_degree_;
+  /// One bit per edge: word w holds edges [64w, 64w+63].
+  ScratchArena::Lease<std::uint64_t> assigned_;
   EdgeId unassigned_ = 0;
 };
 

@@ -4,14 +4,9 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <optional>
 #include <thread>
 #include <vector>
 
-#include "dist/claim_protocol.hpp"
-#include "dist/socket_fabric.hpp"
-#include "dist/transport.hpp"
 #include "refine/gain_heap.hpp"
 #include "refine/move_state.hpp"
 #include "util/thread_pool.hpp"
@@ -32,14 +27,12 @@ class ParallelRun {
  public:
   ParallelRun(const Graph& g, EdgePartition& partition,
               const ParallelOptions& options, RunContext& ctx,
-              ThreadPool* pool, std::size_t num_workers,
-              std::uint32_t num_heap_shards)
+              ThreadPool* pool, std::uint32_t num_heap_shards)
       : g_(g),
         partition_(partition),
         options_(options),
         ctx_(ctx),
         pool_(pool),
-        num_workers_(num_workers),
         h_(num_heap_shards),
         cap_(MoveState::cap_for(g.num_edges(), partition.num_partitions(),
                                 options.balance_slack)),
@@ -51,22 +44,13 @@ class ParallelRun {
         touched_mark_(ctx.arena().acquire<std::uint32_t>(g.num_vertices(), 0)),
         touched_(ctx.arena().acquire<VertexId>(0)) {
     // Per-SHARD state lives in per-shard child arenas (multi_tlp's rule:
-    // with work stealing a shard's task can run on any worker, but it runs
-    // exactly once per phase, so an arena only its own shard touches is
-    // race-free no matter which thread executes it).
+    // an arena only its own shard touches is race-free, whichever worker
+    // owns the shard).
     shards_.reserve(h_);
     for (std::uint32_t h = 0; h < h_; ++h) {
       ScratchArena& arena = ctx.child(h).arena();
       shards_.emplace_back(arena, local_count(h));
     }
-    if (options.num_shards > 0) {
-      dist_.emplace(dist::resolve_transport(options.transport),
-                    options.num_shards, h_);
-      if (options.comm_faults) {
-        dist_->fabric->set_fault_plan(options.comm_faults);
-      }
-    }
-    if (steal_active()) queues_.resize(num_workers_);
   }
 
   ParallelStats run() {
@@ -91,24 +75,12 @@ class ParallelRun {
     for (const Shard& shard : shards_) {
       stats.heap_rebuilds += shard.heap.rebuilds();
     }
-    if (dist_) {
-      stats.messages_sent = dist_->fabric->messages_sent() +
-                            dist_->allreduce_messages;
-      const dist::TransportTelemetry claim = dist_->fabric->wire_telemetry();
-      const dist::TransportTelemetry win =
-          dist_->win_fabric->wire_telemetry();
-      stats.bytes_on_wire = claim.bytes_on_wire + win.bytes_on_wire;
-      stats.frames_sent = claim.frames_sent + win.frames_sent;
-      stats.backpressure_stalls =
-          claim.backpressure_stalls + win.backpressure_stalls;
-      stats.barrier_wait_s = claim.barrier_wait_s + win.barrier_wait_s;
-    }
     return stats;
   }
 
  private:
   /// Gain-heap shard state: edge e lives in shard e % H at local index
-  /// e / H (the ShardMap arithmetic).
+  /// e / H.
   struct Shard {
     Shard(ScratchArena& arena, std::size_t capacity)
         : heap(arena, capacity),
@@ -121,33 +93,6 @@ class ParallelRun {
     ScratchArena::Lease<EdgeId> retry;
   };
 
-  /// Message-passing claim state (num_shards >= 1): fabric ranks are the S
-  /// vertex-claim shards, senders are the H gain-heap shards. Requests
-  /// carry VERTEX ids in the edge field and the proposing heap-shard id as
-  /// the claimant; resolution (min over requesters) is exactly the serial
-  /// scan's first-writer-in-ascending-shard-order award.
-  struct DistState {
-    DistState(dist::Transport transport_kind, std::uint32_t num_claim_shards,
-              std::uint32_t num_heap_shards)
-        : fabric(dist::make_fabric<dist::ClaimRequest>(transport_kind,
-                                                       num_claim_shards,
-                                                       num_heap_shards)),
-          win_fabric(dist::make_fabric<dist::ClaimWin>(transport_kind, 1,
-                                                       num_claim_shards)),
-          requests(num_claim_shards),
-          wins(num_claim_shards) {}
-
-    std::unique_ptr<dist::Fabric<dist::ClaimRequest>> fabric;
-    /// All-reduce channel (multi_tlp's shape): each claim shard sends its
-    /// verdict to rank 0; the ascending-sender collect IS the ordered
-    /// concatenation.
-    std::unique_ptr<dist::Fabric<dist::ClaimWin>> win_fabric;
-    std::vector<std::vector<dist::ClaimRequest>> requests;
-    std::vector<std::vector<dist::ClaimWin>> wins;
-    std::vector<dist::ClaimWin> combined;
-    std::uint64_t allreduce_messages = 0;
-  };
-
   [[nodiscard]] std::size_t local_count(std::uint32_t h) const {
     const EdgeId m = g_.num_edges();
     return m > h ? static_cast<std::size_t>((m - 1 - h) / h_ + 1) : 0;
@@ -157,38 +102,18 @@ class ParallelRun {
   }
   [[nodiscard]] std::uint64_t to_local(EdgeId e) const { return e / h_; }
 
-  [[nodiscard]] bool steal_active() const {
-    return pool_ != nullptr && options_.steal;
-  }
-
-  /// Fans task(h) out over the H shards — inline, statically strided, or
-  /// work-stealing, exactly like multi_tlp's phases: the schedule moves
-  /// wall-clock time, never a task's effect, because every shard-task
-  /// reads only frozen shared state and writes only its own shard.
+  /// Fans task(h) out over the H shards — inline, or statically strided
+  /// (shard h on worker h % W), exactly like multi_tlp's phases: the
+  /// schedule moves wall-clock time, never a task's effect, because every
+  /// shard-task reads only frozen shared state and writes only its own
+  /// shard.
   void run_phase(const std::function<void(std::uint32_t)>& task) {
     if (pool_ == nullptr) {
       for (std::uint32_t h = 0; h < h_; ++h) task(h);
       return;
     }
-    if (!steal_active()) {
-      pool_->run_indexed(num_workers_, [&](std::size_t w) {
-        for (std::uint32_t h = static_cast<std::uint32_t>(w); h < h_;
-             h += static_cast<std::uint32_t>(num_workers_)) {
-          task(h);
-        }
-      });
-      return;
-    }
-    for (std::size_t w = 0; w < num_workers_; ++w) {
-      queues_[w].reset();
-      for (std::uint32_t h = static_cast<std::uint32_t>(w); h < h_;
-           h += static_cast<std::uint32_t>(num_workers_)) {
-        queues_[w].push(h);
-      }
-    }
-    pool_->run_stealable(queues_, [&](std::size_t /*w*/, StealSource& source) {
-      std::uint32_t h = 0;
-      while (source.next(h)) task(h);
+    pool_->run_strided(h_, [&](std::size_t /*w*/, std::size_t h) {
+      task(static_cast<std::uint32_t>(h));
     });
   }
 
@@ -219,10 +144,7 @@ class ParallelRun {
   /// moves, each revalidated against the frozen pre-step state (stale
   /// gains are re-ranked, non-positive or inadmissible ones dropped — the
   /// round's rebuild or a touched-reindex will resurrect them if they
-  /// come back). In sharded-claim mode every accepted proposal also sends
-  /// one ClaimRequest per distinct endpoint; partition-of-sender is the
-  /// heap shard, so each fabric lane stays sender-serial no matter which
-  /// worker runs this task.
+  /// come back).
   void propose(std::uint32_t h) {
     Shard& shard = shards_[h];
     shard.proposals->clear();
@@ -241,71 +163,24 @@ class ParallelRun {
       }
       shard.proposals->push_back(Proposal{e, from, cand.to, cand.gain});
       --budget;
-      if (dist_) {
-        dist_->fabric->send(h, edge.u % options_.num_shards,
-                            dist::ClaimRequest{edge.u, h});
-        if (edge.v != edge.u) {
-          dist_->fabric->send(h, edge.v % options_.num_shards,
-                              dist::ClaimRequest{edge.v, h});
-        }
-      }
-    }
-  }
-
-  /// Computes the step's vertex-award map in sharded mode: each claim
-  /// shard resolves its inbox (min requesting heap-shard id per vertex),
-  /// the verdicts are all-reduced, and the combined vector is stamped into
-  /// award_. Identical to the serial scan below by construction.
-  void resolve_awards_dist() {
-    DistState& d = *dist_;
-    const std::uint32_t s_count = options_.num_shards;
-    // Barrier phase 1 (socket: ARRIVE markers trail the round's requests),
-    // then the per-shard resolution, the win-channel all-reduce, and the
-    // round release — the same round shape as multi_tlp's claim round.
-    d.fabric->end_round();
-    for (std::uint32_t s = 0; s < s_count; ++s) {
-      d.fabric->collect(s, d.requests[s]);
-      dist::resolve_shard_claims(
-          d.requests[s], [](EdgeId) { return false; }, d.wins[s]);
-    }
-    d.fabric->raise_pending_error();
-    for (std::uint32_t s = 0; s < s_count; ++s) {
-      for (const dist::ClaimWin& win : d.wins[s]) {
-        d.win_fabric->send(s, 0, win);
-      }
-    }
-    d.allreduce_messages += s_count;
-    d.win_fabric->end_round();
-    d.win_fabric->collect(0, d.combined);
-    d.win_fabric->raise_pending_error();
-    d.win_fabric->clear_all_inboxes();
-    d.fabric->clear_all_inboxes();
-    for (const dist::ClaimWin& win : d.combined) {
-      const auto v = static_cast<VertexId>(win.edge);
-      award_[v] = win.winner;
-      award_epoch_[v] = step_;
     }
   }
 
   /// Super-step barrier (serial): award endpoints lowest-shard-id-wins,
   /// then commit proposals in canonical order (ascending shard id,
   /// proposal order within a shard). Awards are NOT released when their
-  /// proposal bounces — the rule must be a pure function of the request
-  /// set so both claim transports agree.
+  /// proposal bounces — the award map is a pure function of the request
+  /// set.
   void barrier_commit(ParallelStats& stats) {
-    if (dist_) {
-      resolve_awards_dist();
-    } else {
-      for (std::uint32_t h = 0; h < h_; ++h) {
-        for (const Proposal& proposal : *shards_[h].proposals) {
-          const Edge& edge = g_.edge(proposal.edge);
-          for (const VertexId x : {edge.u, edge.v}) {
-            if (award_epoch_[x] != step_) {
-              award_epoch_[x] = step_;
-              award_[x] = h;
-            }
-            if (edge.u == edge.v) break;
+    for (std::uint32_t h = 0; h < h_; ++h) {
+      for (const Proposal& proposal : *shards_[h].proposals) {
+        const Edge& edge = g_.edge(proposal.edge);
+        for (const VertexId x : {edge.u, edge.v}) {
+          if (award_epoch_[x] != step_) {
+            award_epoch_[x] = step_;
+            award_[x] = h;
           }
+          if (edge.u == edge.v) break;
         }
       }
     }
@@ -314,23 +189,6 @@ class ParallelRun {
       Shard& shard = shards_[h];
       for (const Proposal& proposal : *shard.proposals) {
         const Edge& edge = g_.edge(proposal.edge);
-        if (dist_) {
-          // Fault-free sharded operation stamps EVERY requested endpoint
-          // with this step's award epoch (the resolution awards each
-          // requested vertex to somebody), so a missing stamp means the
-          // claim request never reached its shard. Fail loudly with the
-          // lossy lane — silently re-queuing would retry a dead lane
-          // forever.
-          for (const VertexId x : {edge.u, edge.v}) {
-            if (award_epoch_[x] != step_) {
-              const std::size_t owner = x % options_.num_shards;
-              throw dist::ClaimDivergedError(
-                  "refine_parallel", h, owner, x,
-                  dist_->fabric->lane_sequence(h, owner));
-            }
-            if (edge.u == edge.v) break;
-          }
-        }
         const bool owns_u =
             award_epoch_[edge.u] == step_ && award_[edge.u] == h;
         const bool owns_v =
@@ -397,7 +255,6 @@ class ParallelRun {
   const ParallelOptions& options_;
   RunContext& ctx_;
   ThreadPool* pool_;  ///< nullptr = inline single-worker execution
-  std::size_t num_workers_;
   const std::uint32_t h_;  ///< gain-heap shard count
   const EdgeId cap_;
 
@@ -413,8 +270,6 @@ class ParallelRun {
   ScratchArena::Lease<VertexId> touched_;
 
   std::vector<Shard> shards_;
-  std::vector<StealQueue> queues_;
-  std::optional<DistState> dist_;
   std::uint32_t step_ = 0;
 };
 
@@ -432,11 +287,11 @@ ParallelStats refine_parallel(const Graph& g, EdgePartition& partition,
   const std::size_t workers = std::max<std::size_t>(
       1, std::min<std::size_t>(requested, heap_shards));
   if (workers == 1) {
-    ParallelRun run(g, partition, options, ctx, nullptr, 1, heap_shards);
+    ParallelRun run(g, partition, options, ctx, nullptr, heap_shards);
     return run.run();
   }
   ThreadPool pool(workers);
-  ParallelRun run(g, partition, options, ctx, &pool, workers, heap_shards);
+  ParallelRun run(g, partition, options, ctx, &pool, heap_shards);
   return run.run();
 }
 

@@ -9,23 +9,14 @@
 //
 //   A. propose (parallel, per shard): every shard pops up to
 //      proposals_per_shard admissible positive-gain moves from its own
-//      heap, validated against the FROZEN pre-step state. In sharded-claim
-//      mode it also sends a ClaimRequest per endpoint VERTEX to the
-//      vertex's owning claim shard (v % S) over the dist/ CommFabric —
-//      the same sharded claim protocol multi_tlp's message-passing mode
-//      uses, with vertices in the edge-id field and gain-heap shard ids
-//      as the claimants.
-//   B. barrier (serial): every requested vertex is awarded to the LOWEST
-//      requesting shard id (dist/claim_protocol.hpp's resolution rule; the
-//      shared-memory mode computes the identical map with a serial
-//      first-writer scan in ascending shard order). Proposals are then
-//      committed in canonical order (ascending shard id, proposal order
-//      within a shard): a proposal commits iff it owns BOTH endpoint
-//      awards, neither endpoint was consumed by an earlier commit this
-//      step, and the move still fits under the balance ceiling; everything
-//      else is a conflict, re-queued for the next step. Award resolution
-//      is min-over-requesters and the commit scan is serial and canonical,
-//      so shared-memory and message-passing modes produce identical moves.
+//      heap, validated against the FROZEN pre-step state.
+//   B. barrier (serial): every requested endpoint vertex is awarded to the
+//      LOWEST requesting shard id (a first-writer scan in ascending shard
+//      order). Proposals are then committed in canonical order (ascending
+//      shard id, proposal order within a shard): a proposal commits iff it
+//      owns BOTH endpoint awards, neither endpoint was consumed by an
+//      earlier commit this step, and the move still fits under the balance
+//      ceiling; everything else is a conflict, re-queued for the next step.
 //   C. reindex (parallel, per shard): each shard rekeys its own edges
 //      among those incident to this step's moved endpoints (an edge move
 //      only changes the replicas of its two endpoints), plus its
@@ -46,10 +37,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 
-#include "dist/fault_plan.hpp"
-#include "dist/transport.hpp"
 #include "partition/edge_partition.hpp"
 #include "partition/run_context.hpp"
 
@@ -62,30 +50,12 @@ struct ParallelOptions {
   /// the calling thread without a pool; 0 means hardware_concurrency;
   /// capped at heap_shards. The result is bit-identical for every value.
   std::size_t num_threads = 1;
-  /// Work stealing within the parallel phases (multi_tlp's scheduler);
-  /// schedule only — the result is bit-identical either way.
-  bool steal = true;
-  /// Claim transport for endpoint arbitration: 0 (default) computes the
-  /// award map with the serial barrier scan; S >= 1 runs it as the
-  /// message-passing claim protocol over S vertex-claim shards
-  /// (CommFabric + resolve_shard_claims + AllReduce). Bit-identical for
-  /// every value.
-  std::uint32_t num_shards = 0;
   /// Gain-heap shards (edges live in heap e % H). Part of the ALGORITHM
   /// (changing it changes the move schedule), so it is a fixed option,
   /// never derived from the thread count.
   std::uint32_t heap_shards = 8;
   /// Max admissible proposals a shard brings to one barrier.
   std::uint32_t proposals_per_shard = 4;
-  /// Transport backing the claim fabric (only meaningful with
-  /// num_shards >= 1). Unset resolves through TLP_TRANSPORT, then the
-  /// in-process mailbox fabric; the moves are byte-identical across
-  /// transports (dist/transport.hpp).
-  std::optional<dist::Transport> transport;
-  /// TEST HOOK: deterministic message faults on the claim fabric (only
-  /// meaningful with num_shards >= 1). Duplicates/reorders never change
-  /// the result; a lost award request surfaces as ClaimDivergedError.
-  std::optional<dist::FaultPlan> comm_faults;
 };
 
 struct ParallelStats {
@@ -101,15 +71,6 @@ struct ParallelStats {
   std::size_t conflicts = 0;
   /// Full heap rebuilds (one per round) + in-heap compaction events.
   std::size_t heap_rebuilds = 0;
-  /// Claim-fabric messages (sharded mode; 0 in shared-memory mode).
-  std::uint64_t messages_sent = 0;
-  /// Wire counters, summed over both fabric legs (0 off the socket
-  /// transports; dist/transport.hpp).
-  std::uint64_t bytes_on_wire = 0;
-  std::uint64_t frames_sent = 0;
-  std::uint64_t backpressure_stalls = 0;
-  /// Wall-clock seconds spent waiting at the wire barrier (socket only).
-  double barrier_wait_s = 0.0;
 };
 
 /// Refines `partition` in place with concurrent positive-gain moves.

@@ -3,26 +3,16 @@
 // Built for the parallel multi-partition growth in core/multi_tlp.cpp, but
 // deliberately generic: FIFO task submission with futures, plus a blocking
 // run_indexed() that fans one callable out over [0, n) and acts as a
-// barrier, and run_stealable() — the same barrier over a set of per-worker
-// task deques (util/steal_queue.hpp) where idle workers steal pending tasks
-// from the tails of other workers' queues. Exceptions propagate: a
-// submitted task's exception surfaces through its future; the barriers
-// rethrow the exception of the smallest failing worker index (deterministic
-// regardless of scheduling).
+// barrier, and run_strided() — the same barrier with a static task-to-worker
+// assignment (task t on worker t % W). Exceptions propagate: a submitted
+// task's exception surfaces through its future; the barriers rethrow the
+// exception of the smallest failing worker index (deterministic regardless
+// of scheduling).
 //
 // stop() cancels cooperatively: queued-but-unstarted tasks are abandoned
 // (their futures report std::future_errc::broken_promise) and later
 // submissions are rejected; already-running tasks finish. The destructor
 // stops and joins.
-//
-// NUMA placement (docs/THREADING.md, "NUMA placement"): on multi-node
-// machines — unless TLP_NUMA=off — workers are pinned round-robin across
-// the nodes sysfs reports (util/numa.hpp, no libnuma), and run_stealable's
-// steal sweep probes same-node victims before remote ones. On a
-// single-node machine (or with placement disabled) the pool makes ZERO
-// affinity syscalls and the steal sweep is the classic modular order —
-// graceful degradation, not a special case. Placement moves threads, never
-// results: every phase stays bit-identical pinned or not.
 #pragma once
 
 #include <condition_variable>
@@ -36,8 +26,6 @@
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#include "util/steal_queue.hpp"
 
 namespace tlp {
 
@@ -85,44 +73,16 @@ class ThreadPool {
 
   /// Statically-strided fork/join barrier: runs fn(worker, task) for every
   /// task in [0, num_tasks), task t on worker t % min(size(), num_tasks),
-  /// each worker walking its tasks in ascending order. The cheap fan-out
-  /// for phases whose tasks are too small to be worth a stealing schedule
-  /// (multi_tlp's per-shard claim resolution). Exceptions follow
-  /// run_indexed: the smallest failing worker index is rethrown.
+  /// each worker walking its tasks in ascending order (the parallel
+  /// mover's per-heap-shard phases). Exceptions follow run_indexed: the
+  /// smallest failing worker index is rethrown.
   void run_strided(
       std::size_t num_tasks,
       const std::function<void(std::size_t, std::size_t)>& fn);
 
-  /// Work-stealing fork/join barrier: runs `body(w, src)` for each worker
-  /// w in [0, queues.size()), where `src` schedules the tasks the caller
-  /// pushed into `queues` before the call — own queue from the head, other
-  /// workers' tails when idle. The task set must be FIXED (bodies must not
-  /// push more tasks), and a body must drain its source
-  /// (`while (src.next(t)) ...`) or the undrained tasks are silently
-  /// skipped. Blocks until every body returns; per-worker StealStats land
-  /// in `*stats` (resized to queues.size()) when non-null. Exceptions
-  /// follow run_indexed: the smallest failing worker index is rethrown.
-  void run_stealable(
-      std::vector<StealQueue>& queues,
-      const std::function<void(std::size_t, StealSource&)>& body,
-      std::vector<StealStats>* stats = nullptr);
-
   /// Cooperative cancellation: abandons queued tasks (futures break),
   /// rejects later submits, and wakes idle workers. Running tasks finish.
   void stop();
-
-  /// True iff workers were pinned across NUMA nodes at construction
-  /// (multi-node machine and TLP_NUMA not off). Single-node machines and
-  /// disabled placement report false — and made no affinity syscalls.
-  [[nodiscard]] bool numa_pinning_active() const {
-    return !worker_node_.empty();
-  }
-
-  /// NUMA node worker `w` was pinned to; 0 whenever pinning is inactive
-  /// (the whole machine is then "node 0" as far as placement cares).
-  [[nodiscard]] std::size_t worker_node(std::size_t w) const {
-    return worker_node_.empty() ? 0 : worker_node_[w];
-  }
 
  private:
   void worker_loop();
@@ -132,12 +92,6 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
   bool stopped_ = false;
-
-  /// Node assignment per worker; empty when placement is inactive.
-  std::vector<std::size_t> worker_node_;
-  /// Same-node-first steal sweeps (numa::steal_victim_orders); empty when
-  /// placement is inactive — run_stealable then uses the modular default.
-  std::vector<std::vector<std::uint32_t>> victim_orders_;
 };
 
 }  // namespace tlp

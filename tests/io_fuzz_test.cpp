@@ -9,7 +9,6 @@
 #include <random>
 #include <sstream>
 
-#include "dist/wire_format.hpp"
 #include "graph/io.hpp"
 #include "partition/partition_io.hpp"
 #include "gen/generators.hpp"
@@ -272,134 +271,6 @@ TEST(IoFuzz, FileEdgeStreamRejectsGarbageButSurvivesComments) {
   std::filesystem::remove(bad);
 
   EXPECT_THROW(stream::FileEdgeStream{"/no/such/file"}, std::runtime_error);
-}
-
-TEST(IoFuzz, WireFrameParserNeverCrashes) {
-  // Same parse-or-throw contract as the file readers, applied to the
-  // socket transport's frame stream (dist/wire_format.hpp): corrupt a
-  // valid multi-frame stream at random offsets (plus truncations and pure
-  // noise) and require that try_parse_frame either yields in-bounds
-  // frames or throws WireError — never reads out of bounds or loops.
-  namespace wire = dist::wire;
-  std::mt19937_64 rng(11);
-
-  // A realistic stream: data frames carrying each codec type, barrier
-  // frames (empty payload), and a BYE.
-  std::vector<unsigned char> clean;
-  std::vector<unsigned char> payload;
-  for (std::uint64_t seq = 0; seq < 6; ++seq) {
-    payload.clear();
-    wire::WireCodec<dist::ClaimRequest>::encode(
-        payload, dist::ClaimRequest{seq * 17, static_cast<PartitionId>(seq)});
-    wire::encode_frame(clean, wire::FrameType::kData,
-                       static_cast<std::uint16_t>(seq % 3), seq,
-                       payload.data(),
-                       static_cast<std::uint32_t>(payload.size()));
-  }
-  payload.clear();
-  wire::WireCodec<std::uint64_t>::encode(payload, 0xFEEDFACEull);
-  wire::encode_frame(clean, wire::FrameType::kData, 0, 6, payload.data(),
-                     static_cast<std::uint32_t>(payload.size()));
-  wire::encode_frame(clean, wire::FrameType::kBarrierArrive, 0, 0, nullptr,
-                     0);
-  wire::encode_frame(clean, wire::FrameType::kBarrierRelease, 0, 0, nullptr,
-                     0);
-  wire::encode_frame(clean, wire::FrameType::kBye, 0, 0, nullptr, 0);
-
-  // Sanity: the clean stream parses back in full.
-  {
-    std::size_t offset = 0;
-    wire::FrameView view;
-    std::size_t frames = 0;
-    while (wire::try_parse_frame(clean, offset, view)) ++frames;
-    EXPECT_EQ(frames, 10u);
-    EXPECT_EQ(offset, clean.size());
-  }
-
-  for (int round = 0; round < 300; ++round) {
-    std::vector<unsigned char> buf;
-    if (round % 2 == 0) {
-      buf = clean;
-      const std::size_t flips = 1 + rng() % 8;
-      for (std::size_t i = 0; i < flips; ++i) {
-        buf[rng() % buf.size()] ^=
-            static_cast<unsigned char>(1 + rng() % 255);
-      }
-      if (round % 4 == 0) buf.resize(rng() % (buf.size() + 1));
-    } else {
-      const std::string noise = random_bytes(rng, rng() % 200, false);
-      buf.assign(noise.begin(), noise.end());
-    }
-    std::size_t offset = 0;
-    wire::FrameView view;
-    try {
-      while (wire::try_parse_frame(buf, offset, view)) {
-        // Every yielded frame must be fully in bounds...
-        ASSERT_LE(offset, buf.size());
-        ASSERT_GE(view.payload, buf.data());
-        ASSERT_LE(view.payload + view.payload_len, buf.data() + buf.size());
-        // ...and a typed decode of its payload must parse or throw.
-        if (view.type == wire::FrameType::kData) {
-          try {
-            (void)wire::WireCodec<dist::ClaimRequest>::decode(
-                view.payload, view.payload_len);
-          } catch (const wire::WireError&) {
-          }
-        }
-      }
-    } catch (const wire::WireError&) {
-      // acceptable outcome: the stream is poisoned, parsing stopped
-    }
-  }
-}
-
-TEST(IoFuzz, WireHelloRejectsCorruptionOrPreservesFields) {
-  namespace wire = dist::wire;
-  std::mt19937_64 rng(13);
-  std::vector<unsigned char> clean;
-  wire::encode_hello(clean, wire::Hello{3, 7});
-  ASSERT_EQ(clean.size(), wire::kHelloSize);
-  EXPECT_EQ(wire::decode_hello(clean.data(), clean.size()).rank, 3u);
-  for (int round = 0; round < 200; ++round) {
-    std::vector<unsigned char> buf = clean;
-    buf[rng() % buf.size()] ^= static_cast<unsigned char>(1 + rng() % 255);
-    try {
-      // A flip in the rank/num_senders field decodes to a different value
-      // (the channel demux validates it); a flip anywhere in the magic /
-      // version / endian-probe prefix must throw.
-      (void)wire::decode_hello(buf.data(), buf.size());
-    } catch (const wire::WireError&) {
-    }
-    // Truncations always throw: the length is checked first.
-    if (round % 4 == 0) {
-      EXPECT_THROW((void)wire::decode_hello(buf.data(), rng() % buf.size()),
-                   wire::WireError);
-    }
-  }
-}
-
-TEST(IoFuzz, WireCodecsRejectShortPayloads) {
-  namespace wire = dist::wire;
-  std::vector<unsigned char> buf;
-  wire::WireCodec<dist::ClaimRequest>::encode(buf,
-                                              dist::ClaimRequest{42, 1});
-  ASSERT_EQ(buf.size(), wire::WireCodec<dist::ClaimRequest>::kSize);
-  for (std::size_t len = 0; len < buf.size(); ++len) {
-    EXPECT_THROW(
-        (void)wire::WireCodec<dist::ClaimRequest>::decode(buf.data(), len),
-        wire::WireError);
-    EXPECT_THROW(
-        (void)wire::WireCodec<dist::ClaimWin>::decode(buf.data(), len),
-        wire::WireError);
-  }
-  for (std::size_t len = 0; len < 8; ++len) {
-    EXPECT_THROW(
-        (void)wire::WireCodec<std::uint64_t>::decode(buf.data(), len),
-        wire::WireError);
-  }
-  const dist::ClaimRequest round_trip =
-      wire::WireCodec<dist::ClaimRequest>::decode(buf.data(), buf.size());
-  EXPECT_EQ(round_trip, (dist::ClaimRequest{42, 1}));
 }
 
 TEST(IoFuzz, FileStreamFeedsWindowTlp) {

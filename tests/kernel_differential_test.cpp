@@ -1,6 +1,6 @@
 // The tentpole invariant of the SIMD kernel layer: partitions are
-// byte-identical across every kernel x thread x steal x shard x storage
-// tier combination. The kernels change instruction selection, never
+// byte-identical across every kernel x thread x storage tier
+// combination. The kernels change instruction selection, never
 // values; this suite is the executable proof.
 //
 // Kernels are swept in-process via intersect::set_active (the TLP_KERNEL
@@ -101,12 +101,12 @@ TEST_F(KernelDifferential, SequentialTlpKernelInvariant) {
   }
 }
 
-TEST_F(KernelDifferential, FullMatrixKernelThreadsStealShardsTiers) {
+TEST_F(KernelDifferential, FullMatrixKernelThreadsTiers) {
   KernelGuard guard;
   PartitionConfig config;
   config.num_partitions = 8;
-  // Scalar single-thread shared-memory in-memory run is the reference for
-  // the ENTIRE matrix.
+  // Scalar single-thread in-memory run is the reference for the ENTIRE
+  // matrix.
   ASSERT_TRUE(intersect::set_active(Kernel::kScalar));
   const EdgePartition expected =
       MultiTlpPartitioner{}.partition(reference(), config);
@@ -118,27 +118,19 @@ TEST_F(KernelDifferential, FullMatrixKernelThreadsStealShardsTiers) {
   };
   for (const Kernel k : supported_kernels()) {
     ASSERT_TRUE(intersect::set_active(k));
+    // 0 = hardware_concurrency (capped at p).
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                      std::size_t{8}}) {
-      for (const bool steal : {true, false}) {
-        for (const std::uint32_t shards : {0u, 4u}) {
-          MultiTlpOptions mo;
-          mo.num_threads = threads;
-          mo.steal = steal;
-          mo.num_shards = shards;
-          const MultiTlpPartitioner partitioner{mo};
-          for (const auto& [label, options] : tiers) {
-            SCOPED_TRACE("kernel=" +
-                         std::string(intersect::kernel_name(k)) +
-                         " threads=" + std::to_string(threads) +
-                         " steal=" + (steal ? "on" : "off") +
-                         " shards=" + std::to_string(shards) + " tier=" +
-                         label);
-            const Graph tiered = io::load_csr_file(csr_path(), options);
-            EXPECT_EQ(partitioner.partition(tiered, config).raw(),
-                      expected.raw());
-          }
-        }
+                                      std::size_t{8}, std::size_t{0}}) {
+      MultiTlpOptions mo;
+      mo.num_threads = threads;
+      const MultiTlpPartitioner partitioner{mo};
+      for (const auto& [label, options] : tiers) {
+        SCOPED_TRACE("kernel=" + std::string(intersect::kernel_name(k)) +
+                     " threads=" + std::to_string(threads) + " tier=" +
+                     label);
+        const Graph tiered = io::load_csr_file(csr_path(), options);
+        EXPECT_EQ(partitioner.partition(tiered, config).raw(),
+                  expected.raw());
       }
     }
   }

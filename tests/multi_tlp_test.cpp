@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -41,22 +40,14 @@ TEST(MultiTlp, CompleteAndInRangeOnVariousGraphs) {
   }
 }
 
-// Strips the telemetry keys that are allowed to vary with the schedule or
-// the claim-state topology: the resolved worker count, the work-stealing
-// scheduler's wall-clock instrumentation, and the sharded claim protocol's
-// transport accounting (docs/THREADING.md). Every OTHER counter/series
-// must be bit-identical across worker counts, steal settings AND shard
-// counts.
+// Strips the telemetry keys that are allowed to vary with the schedule:
+// the resolved worker count and the wall-clock imbalance gauge
+// (docs/THREADING.md). Every OTHER counter/series must be bit-identical
+// across worker counts.
 std::map<std::string, double, std::less<>> scheduler_invariant_counters(
     const RunContext& ctx) {
   auto c = ctx.telemetry().counters();
-  for (const char* key :
-       {"threads", "runs", "steal", "steals", "steal_failures", "imbalance",
-        "shards", "messages_sent", "claim_rounds", "transport",
-        "bytes_on_wire", "frames_sent", "barrier_wait_s",
-        "backpressure_stalls"}) {
-    c.erase(key);
-  }
+  for (const char* key : {"threads", "imbalance"}) c.erase(key);
   return c;
 }
 
@@ -64,39 +55,64 @@ std::map<std::string, std::vector<double>, std::less<>>
 scheduler_invariant_series(const RunContext& ctx) {
   auto s = ctx.telemetry().all_series();
   s.erase("worker_busy");  // wall-clock, W entries per super-step
-  s.erase("shard_busy");   // wall-clock, S entries, sharded mode only
   return s;
 }
 
-TEST(MultiTlp, BitIdenticalAcrossThreadCountsAndStealSettings) {
-  const Graph g = gen::sbm(600, 4200, 17, 0.88, 11);
-  const auto config = config_for(9, 7);
+// The byte-identity contract across worker counts {1, 2, 8, hw}, plus the
+// scheduler telemetry every pooled run must report well-formed.
+void expect_identical_across_thread_counts(const Graph& g,
+                                           const PartitionConfig& config) {
   RunContext ctx1;
   MultiTlpOptions opts;
   opts.num_threads = 1;
   const EdgePartition base =
       MultiTlpPartitioner{opts}.partition(g, config, ctx1);
-  for (const std::size_t threads : {2u, 8u}) {
-    for (const bool steal : {false, true}) {
-      RunContext ctx;
-      MultiTlpOptions o;
-      o.num_threads = threads;
-      o.steal = steal;
-      const EdgePartition part =
-          MultiTlpPartitioner{o}.partition(g, config, ctx);
-      EXPECT_EQ(part.raw(), base.raw())
-          << threads << " threads, steal " << steal;
-      EXPECT_EQ(scheduler_invariant_counters(ctx),
-                scheduler_invariant_counters(ctx1))
-          << threads << " threads, steal " << steal;
-      EXPECT_EQ(scheduler_invariant_series(ctx),
-                scheduler_invariant_series(ctx1))
-          << threads << " threads, steal " << steal;
-      EXPECT_EQ(ctx.telemetry().counter("threads"),
-                static_cast<double>(std::min<std::size_t>(threads, 9)));
-      EXPECT_EQ(ctx.telemetry().counter("steal"), steal ? 1.0 : 0.0);
-    }
+  EXPECT_EQ(ctx1.telemetry().counter("imbalance"), 1.0);
+  EXPECT_EQ(ctx1.telemetry().series("worker_busy"), nullptr);
+  const std::size_t hw =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}, hw}) {
+    RunContext ctx;
+    MultiTlpOptions o;
+    o.num_threads = threads == hw ? 0 : threads;  // 0 = hardware
+    const EdgePartition part =
+        MultiTlpPartitioner{o}.partition(g, config, ctx);
+    EXPECT_EQ(part.raw(), base.raw()) << g.summary() << ", " << threads;
+    EXPECT_EQ(scheduler_invariant_counters(ctx),
+              scheduler_invariant_counters(ctx1))
+        << g.summary() << ", " << threads << " threads";
+    EXPECT_EQ(scheduler_invariant_series(ctx),
+              scheduler_invariant_series(ctx1))
+        << g.summary() << ", " << threads << " threads";
+    const Telemetry& t = ctx.telemetry();
+    const std::size_t workers =
+        std::min<std::size_t>(threads, config.num_partitions);
+    EXPECT_EQ(t.counter("threads"), static_cast<double>(workers));
+    if (workers == 1) continue;  // inline: no pool, no busy series
+    EXPECT_GE(t.counter("imbalance"), 1.0);
+    const auto* busy = t.series("worker_busy");
+    ASSERT_NE(busy, nullptr);
+    ASSERT_FALSE(busy->empty());
+    // W entries (one per worker) per committed super-step; the final
+    // no-progress step commits nothing, so the series may run one step
+    // short of the super_steps counter.
+    EXPECT_EQ(busy->size() % workers, 0u);
+    EXPECT_LE(static_cast<double>(busy->size()),
+              t.counter("super_steps") * static_cast<double>(workers));
   }
+}
+
+TEST(MultiTlp, BitIdenticalAcrossThreadCounts) {
+  expect_identical_across_thread_counts(gen::sbm(600, 4200, 17, 0.88, 11),
+                                        config_for(9, 7));
+}
+
+// Skewed (power-law + communities) partition sizes: the static k % W
+// schedule leaves workers unevenly busy, which may move `imbalance` and
+// `worker_busy` but never the output bytes.
+TEST(MultiTlp, SkewedGraphKeepsBytesIdenticalAndReportsSchedulerTelemetry) {
+  expect_identical_across_thread_counts(
+      gen::dcsbm(4000, 24000, 2.2, 6, 0.6, 21), config_for(8, 3));
 }
 
 TEST(MultiTlp, HardwareThreadsMatchInline) {
@@ -105,14 +121,10 @@ TEST(MultiTlp, HardwareThreadsMatchInline) {
   MultiTlpOptions inline_opts;  // num_threads = 1
   const EdgePartition a =
       MultiTlpPartitioner{inline_opts}.partition(g, config);
-  for (const bool steal : {false, true}) {
-    MultiTlpOptions hw_opts;
-    hw_opts.num_threads = 0;  // hardware_concurrency, capped at p
-    hw_opts.steal = steal;
-    const EdgePartition b =
-        MultiTlpPartitioner{hw_opts}.partition(g, config);
-    EXPECT_EQ(a.raw(), b.raw()) << "steal " << steal;
-  }
+  MultiTlpOptions hw_opts;
+  hw_opts.num_threads = 0;  // hardware_concurrency, capped at p
+  const EdgePartition b = MultiTlpPartitioner{hw_opts}.partition(g, config);
+  EXPECT_EQ(a.raw(), b.raw());
 }
 
 TEST(MultiTlp, DeterministicForSeed) {
@@ -188,276 +200,6 @@ TEST(MultiTlp, NoOvershootStaysWithinCapacityMostly) {
   const EdgeId capacity = config.capacity(g.num_edges());
   for (const EdgeId load : part.edge_counts()) {
     EXPECT_LE(load, capacity + capacity / 4);
-  }
-}
-
-// Deterministic half of the steal regression: on a skewed (power-law +
-// communities) graph, output bytes must not depend on the steal setting,
-// and the scheduler telemetry must be well-formed. The imbalance *drop*
-// itself is a wall-clock property, asserted in the hardware-gated test
-// below.
-TEST(MultiTlp, StealKeepsBytesIdenticalAndReportsSchedulerTelemetry) {
-  const Graph g = gen::dcsbm(4000, 24000, 2.2, 6, 0.6, 21);
-  const auto config = config_for(8, 3);
-  const EdgePartition base = MultiTlpPartitioner{}.partition(g, config);
-  for (const bool steal : {false, true}) {
-    MultiTlpOptions o;
-    o.num_threads = 4;
-    o.steal = steal;
-    RunContext ctx;
-    const EdgePartition part =
-        MultiTlpPartitioner{o}.partition(g, config, ctx);
-    EXPECT_EQ(part.raw(), base.raw()) << "steal " << steal;
-    const Telemetry& t = ctx.telemetry();
-    EXPECT_EQ(t.counter("steal"), steal ? 1.0 : 0.0);
-    EXPECT_GE(t.counter("imbalance"), 1.0);
-    const auto* busy = t.series("worker_busy");
-    ASSERT_NE(busy, nullptr);
-    ASSERT_FALSE(busy->empty());
-    // 4 entries (one per worker) per committed super-step; the final
-    // no-progress step commits nothing, so the series may run one step
-    // short of the super_steps counter.
-    EXPECT_EQ(busy->size() % 4, 0u);
-    EXPECT_LE(static_cast<double>(busy->size()),
-              t.counter("super_steps") * 4.0);
-    if (steal) {
-      // Over hundreds of super-steps some worker always drains its deque
-      // while another's is still pending, on any host.
-      EXPECT_GT(t.counter("steals"), 0.0);
-    } else {
-      EXPECT_EQ(t.counter("steals"), 0.0);
-      EXPECT_EQ(t.counter("steal_failures"), 0.0);
-    }
-  }
-}
-
-// The ROADMAP question this answers: with static ownership (k % W) one
-// worker's hot partitions serialize a super-step; stealing spreads pending
-// partition-tasks and pulls max/mean worker busy time toward 1. The
-// assertion is about wall-clock, so it needs real parallelism — below 4
-// hardware threads (e.g. a single-core CI container) the measured "busy"
-// intervals are preemption noise and the test skips.
-TEST(MultiTlp, StealReducesImbalanceOnSkewedPartitionSizes) {
-  if (std::thread::hardware_concurrency() < 4) {
-    GTEST_SKIP() << "needs >= 4 hardware threads for meaningful busy times";
-  }
-  const Graph g = gen::dcsbm(20000, 120000, 2.2, 8, 0.6, 33);
-  const auto config = config_for(12, 5);
-  auto run = [&](bool steal) {
-    MultiTlpOptions o;
-    o.num_threads = 4;
-    o.steal = steal;
-    RunContext ctx;
-    const EdgePartition part =
-        MultiTlpPartitioner{o}.partition(g, config, ctx);
-    return std::tuple{part.raw(), ctx.telemetry().counter("imbalance"),
-                      ctx.telemetry().counter("steals")};
-  };
-  const auto [bytes_off, imbalance_off, steals_off] = run(false);
-  const auto [bytes_on, imbalance_on, steals_on] = run(true);
-  EXPECT_EQ(bytes_off, bytes_on);  // only the schedule may move
-  EXPECT_EQ(steals_off, 0.0);
-  EXPECT_GT(steals_on, 0.0);
-  // Stealing must beat the static schedule's imbalance — unless the static
-  // schedule was already essentially flat (within 2% of perfect), where
-  // measurement noise dominates.
-  EXPECT_LT(imbalance_on, std::max(imbalance_off, 1.02));
-}
-
-// ---------------------------------------------------------------------
-// Sharded claim protocol (MultiTlpOptions::num_shards; docs/THREADING.md,
-// "Sharded claim protocol"). The contract: the message-passing execution
-// mode is byte-identical to the shared-memory path for EVERY combination
-// of shard count, worker count and steal setting, and the fault-injection
-// hook can only repeat/permute (harmless) or lose (loud failure) claim
-// requests — never silently change the result.
-
-// The 30-second smoke run in tools/check.sh's fast leg: smallest fixture,
-// S in {1, 4}, versus the shared-memory baseline. Referenced by name from
-// check.sh — keep the test name stable.
-TEST(MultiTlpShard, SmokeInvariance) {
-  const Graph g = gen::caveman_graph(4, 5);
-  const auto config = config_for(3, 2);
-  RunContext base_ctx;
-  const EdgePartition base =
-      MultiTlpPartitioner{}.partition(g, config, base_ctx);
-  for (const std::uint32_t shards : {1u, 4u}) {
-    MultiTlpOptions o;
-    o.num_shards = shards;
-    RunContext ctx;
-    const EdgePartition part = MultiTlpPartitioner{o}.partition(g, config, ctx);
-    EXPECT_EQ(part.raw(), base.raw()) << shards << " shards";
-    EXPECT_EQ(scheduler_invariant_counters(ctx),
-              scheduler_invariant_counters(base_ctx))
-        << shards << " shards";
-    EXPECT_EQ(ctx.telemetry().counter("shards"),
-              static_cast<double>(shards));
-    EXPECT_GT(ctx.telemetry().counter("claim_rounds"), 0.0);
-  }
-  EXPECT_EQ(base_ctx.telemetry().counter("shards"), 0.0);
-  EXPECT_EQ(base_ctx.telemetry().counter("messages_sent"), 0.0);
-}
-
-// The tentpole differential suite: shard counts (1 = everything on one
-// rank, 2, 7 = coprime with most structure, 64 > any frontier batch) ×
-// worker counts × steal, on a skewed power-law graph and a community
-// graph, all against the num_shards = 0 shared-memory baseline.
-TEST(MultiTlpShard, BitIdenticalAcrossShardCountsThreadsAndSteal) {
-  const std::vector<Graph> graphs = {
-      gen::chung_lu_power_law(500, 3000, 2.3, 23),
-      gen::sbm(400, 2600, 8, 0.85, 31)};
-  for (const Graph& g : graphs) {
-    const auto config = config_for(6, 13);
-    RunContext base_ctx;
-    const EdgePartition base =
-        MultiTlpPartitioner{}.partition(g, config, base_ctx);
-    for (const std::uint32_t shards : {1u, 2u, 7u, 64u}) {
-      for (const std::size_t threads : {1u, 2u, 8u}) {
-        for (const bool steal : {false, true}) {
-          MultiTlpOptions o;
-          o.num_shards = shards;
-          o.num_threads = threads;
-          o.steal = steal;
-          RunContext ctx;
-          const EdgePartition part =
-              MultiTlpPartitioner{o}.partition(g, config, ctx);
-          EXPECT_EQ(part.raw(), base.raw())
-              << g.summary() << ": " << shards << " shards, " << threads
-              << " threads, steal " << steal;
-          EXPECT_EQ(scheduler_invariant_counters(ctx),
-                    scheduler_invariant_counters(base_ctx))
-              << g.summary() << ": " << shards << " shards, " << threads
-              << " threads, steal " << steal;
-          EXPECT_EQ(scheduler_invariant_series(ctx),
-                    scheduler_invariant_series(base_ctx))
-              << g.summary() << ": " << shards << " shards, " << threads
-              << " threads, steal " << steal;
-        }
-      }
-    }
-  }
-}
-
-TEST(MultiTlpShard, HardwareThreadsShardedMatchesShared) {
-  const Graph g = gen::barabasi_albert(300, 4, 19);
-  const auto config = config_for(6, 5);
-  const EdgePartition base = MultiTlpPartitioner{}.partition(g, config);
-  MultiTlpOptions o;
-  o.num_shards = 4;
-  o.num_threads = 0;  // hardware_concurrency, capped at p
-  const EdgePartition part = MultiTlpPartitioner{o}.partition(g, config);
-  EXPECT_EQ(part.raw(), base.raw());
-}
-
-// For a FIXED shard count the transport accounting is part of the
-// deterministic protocol, not the schedule: every (threads × steal)
-// combination sends the same messages in the same rounds.
-TEST(MultiTlpShard, MessageCountsAreScheduleInvariant) {
-  const Graph g = gen::erdos_renyi(250, 1100, 29);
-  const auto config = config_for(5, 3);
-  std::vector<std::pair<double, double>> observed;
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    for (const bool steal : {false, true}) {
-      MultiTlpOptions o;
-      o.num_shards = 4;
-      o.num_threads = threads;
-      o.steal = steal;
-      RunContext ctx;
-      (void)MultiTlpPartitioner{o}.partition(g, config, ctx);
-      observed.emplace_back(ctx.telemetry().counter("messages_sent"),
-                            ctx.telemetry().counter("claim_rounds"));
-    }
-  }
-  ASSERT_FALSE(observed.empty());
-  EXPECT_GT(observed.front().first, 0.0);
-  EXPECT_GT(observed.front().second, 0.0);
-  for (const auto& [messages, rounds] : observed) {
-    EXPECT_EQ(messages, observed.front().first);
-    EXPECT_EQ(rounds, observed.front().second);
-  }
-}
-
-TEST(MultiTlpShard, ShardCountExceedingEdgeCountWorks) {
-  const Graph g = gen::caveman_graph(3, 4);  // few edges, S = 64 shards
-  const auto config = config_for(2, 9);
-  const EdgePartition base = MultiTlpPartitioner{}.partition(g, config);
-  MultiTlpOptions o;
-  o.num_shards = 64;
-  const EdgePartition part = MultiTlpPartitioner{o}.partition(g, config);
-  EXPECT_EQ(part.raw(), base.raw());
-}
-
-// Duplicated claim requests are idempotent: min over a multiset ignores
-// repeats, so a dup-heavy fabric must still produce the baseline bytes.
-TEST(MultiTlpShard, DuplicatedMessagesKeepBytesIdentical) {
-  const Graph g = gen::sbm(300, 1800, 6, 0.85, 41);
-  const auto config = config_for(6, 17);
-  const EdgePartition base = MultiTlpPartitioner{}.partition(g, config);
-  for (const std::size_t threads : {1u, 4u}) {
-    MultiTlpOptions o;
-    o.num_shards = 7;
-    o.num_threads = threads;
-    o.comm_faults = dist::FaultPlan{};
-    o.comm_faults->seed = 77;
-    o.comm_faults->dup_permille = 400;
-    const EdgePartition part = MultiTlpPartitioner{o}.partition(g, config);
-    EXPECT_EQ(part.raw(), base.raw()) << threads << " threads";
-  }
-}
-
-// Reordered delivery is invisible: resolution canonically sorts each
-// shard's batch, so any per-lane permutation produces the baseline bytes.
-TEST(MultiTlpShard, ReorderedMessagesKeepBytesIdentical) {
-  const Graph g = gen::chung_lu_power_law(300, 1700, 2.4, 43);
-  const auto config = config_for(5, 19);
-  const EdgePartition base = MultiTlpPartitioner{}.partition(g, config);
-  for (const std::size_t threads : {1u, 4u}) {
-    MultiTlpOptions o;
-    o.num_shards = 7;
-    o.num_threads = threads;
-    o.comm_faults = dist::FaultPlan{};
-    o.comm_faults->seed = 101;
-    o.comm_faults->reorder = true;
-    const EdgePartition part = MultiTlpPartitioner{o}.partition(g, config);
-    EXPECT_EQ(part.raw(), base.raw()) << threads << " threads";
-  }
-}
-
-// Dropping EVERY claim request must trip the commit scan's divergence
-// check the first time a partition attempts a real (non-self-loop) claim —
-// a lost request may never silently strand an edge.
-TEST(MultiTlpShard, DroppingAllMessagesFailsLoudly) {
-  const Graph g = gen::erdos_renyi(120, 500, 47);
-  const auto config = config_for(4, 23);
-  MultiTlpOptions o;
-  o.num_shards = 4;
-  o.comm_faults = dist::FaultPlan{};
-  o.comm_faults->drop_permille = 1000;
-  EXPECT_THROW((void)MultiTlpPartitioner{o}.partition(g, config),
-               std::runtime_error);
-}
-
-// At partial drop rates the run either completes with a VALID partition
-// (the lost requests merely shifted wins to the lowest surviving
-// requester) or throws the divergence error — silent corruption is the
-// one outcome the protocol forbids.
-TEST(MultiTlpShard, PartialDropsEitherThrowOrStayValid) {
-  const Graph g = gen::sbm(200, 1100, 4, 0.85, 53);
-  const auto config = config_for(4, 29);
-  for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull, 5ull}) {
-    MultiTlpOptions o;
-    o.num_shards = 7;
-    o.comm_faults = dist::FaultPlan{};
-    o.comm_faults->seed = seed;
-    o.comm_faults->drop_permille = 100;
-    try {
-      const EdgePartition part = MultiTlpPartitioner{o}.partition(g, config);
-      EXPECT_TRUE(validate(g, part, config).ok()) << "fault seed " << seed;
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("claim protocol diverged"),
-                std::string::npos)
-          << "fault seed " << seed << ": " << e.what();
-    }
   }
 }
 

@@ -1,7 +1,7 @@
 // Tests for the gain-heap refinement engine (src/refine/engine.hpp) and
 // the parallel BSP mover (src/refine/parallel_mover.hpp): the differential
 // suite against the greedy oracle, the bit-identity sweep across worker
-// counts / stealing / claim transports, and the RF / balance invariants on
+// counts, and the RF / balance invariants on
 // randomized partitions.
 #include <gtest/gtest.h>
 
@@ -177,7 +177,7 @@ TEST(RefineEngine, TelemetryKeysAlwaysPresent) {
          {"refine_moves", "refine_replicas_removed", "refine_passes",
           "refine_gain_applied", "refine_escape_moves", "refine_rollbacks",
           "refine_heap_rebuilds", "refine_super_steps",
-          "refine_move_conflicts", "refine_messages_sent"}) {
+          "refine_move_conflicts"}) {
       EXPECT_TRUE(counters.contains(key))
           << key << " missing for engine " << static_cast<int>(engine);
     }
@@ -224,15 +224,13 @@ TEST(RefineParallel, RespectsBalanceCeiling) {
   EXPECT_LE(balance_factor(part), 1.15);
 }
 
-TEST(RefineParallel, BitIdenticalAcrossThreadsStealAndClaimShards) {
+TEST(RefineParallel, BitIdenticalAcrossThreads) {
   const Graph g = gen::chung_lu_power_law(600, 3600, 2.1, 13);
   const EdgePartition start = random_partition(g, 8, 13);
 
-  // Reference: inline, no stealing, shared-memory claims.
+  // Reference: inline.
   refine::ParallelOptions reference_options;
   reference_options.num_threads = 1;
-  reference_options.steal = false;
-  reference_options.num_shards = 0;
   EdgePartition reference = start;
   RunContext reference_ctx;
   const refine::ParallelStats reference_stats =
@@ -242,36 +240,21 @@ TEST(RefineParallel, BitIdenticalAcrossThreadsStealAndClaimShards) {
   const std::size_t hw =
       std::max<std::size_t>(1, std::thread::hardware_concurrency());
   for (const std::size_t threads : std::vector<std::size_t>{1, 2, 8, hw}) {
-    for (const bool steal : {false, true}) {
-      for (const std::uint32_t shards : {0u, 4u}) {
-        refine::ParallelOptions options;
-        options.num_threads = threads;
-        options.steal = steal;
-        options.num_shards = shards;
-        EdgePartition part = start;
-        RunContext ctx;
-        const refine::ParallelStats stats =
-            refine::refine_parallel(g, part, options, ctx);
-        const auto label = ::testing::Message()
-                           << "threads=" << threads << " steal=" << steal
-                           << " claim_shards=" << shards;
-        EXPECT_EQ(part.raw(), reference.raw()) << label;
-        EXPECT_EQ(stats.moves, reference_stats.moves) << label;
-        EXPECT_EQ(stats.replicas_removed, reference_stats.replicas_removed)
-            << label;
-        EXPECT_EQ(stats.super_steps, reference_stats.super_steps) << label;
-        EXPECT_EQ(stats.rounds, reference_stats.rounds) << label;
-        EXPECT_EQ(stats.conflicts, reference_stats.conflicts) << label;
-        EXPECT_EQ(stats.heap_rebuilds, reference_stats.heap_rebuilds)
-            << label;
-        // Claim traffic exists iff the message-passing transport is on.
-        if (shards == 0) {
-          EXPECT_EQ(stats.messages_sent, 0u) << label;
-        } else {
-          EXPECT_GT(stats.messages_sent, 0u) << label;
-        }
-      }
-    }
+    refine::ParallelOptions options;
+    options.num_threads = threads;
+    EdgePartition part = start;
+    RunContext ctx;
+    const refine::ParallelStats stats =
+        refine::refine_parallel(g, part, options, ctx);
+    const auto label = ::testing::Message() << "threads=" << threads;
+    EXPECT_EQ(part.raw(), reference.raw()) << label;
+    EXPECT_EQ(stats.moves, reference_stats.moves) << label;
+    EXPECT_EQ(stats.replicas_removed, reference_stats.replicas_removed)
+        << label;
+    EXPECT_EQ(stats.super_steps, reference_stats.super_steps) << label;
+    EXPECT_EQ(stats.rounds, reference_stats.rounds) << label;
+    EXPECT_EQ(stats.conflicts, reference_stats.conflicts) << label;
+    EXPECT_EQ(stats.heap_rebuilds, reference_stats.heap_rebuilds) << label;
   }
 }
 

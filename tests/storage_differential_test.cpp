@@ -3,7 +3,7 @@
 // vectors, in a read-only mapped file, or split across both — the tier is
 // invisible to the algorithms by construction, and this suite pins that.
 //
-// Sweep: {tlp, tlp_r0.5, multi_tlp at threads {1,2,8} x shards {1,4}}
+// Sweep: {tlp, tlp_r0.5, multi_tlp at threads {1,2,8,hw}}
 // x {in_memory, mmap, hybrid at tau in {0, median-degree, inf}}, plus a
 // registry-wide single-config pass over every registered algorithm.
 #include <gtest/gtest.h>
@@ -110,26 +110,23 @@ TEST_F(StorageDifferential, TlpAndResidualAcrossTiers) {
   }
 }
 
-TEST_F(StorageDifferential, MultiTlpThreadsShardsAcrossTiers) {
+TEST_F(StorageDifferential, MultiTlpThreadsAcrossTiers) {
   PartitionConfig config;
   config.num_partitions = 8;
-  // Reference: shared-memory single thread on the in-memory graph.
+  // Reference: single thread on the in-memory graph.
   const EdgePartition expected =
       MultiTlpPartitioner{}.partition(reference(), config);
+  // 0 = hardware_concurrency (capped at p).
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{8}}) {
-    for (const std::uint32_t shards : {0u, 4u}) {
-      MultiTlpOptions mo;
-      mo.num_threads = threads;
-      mo.num_shards = shards;
-      const MultiTlpPartitioner partitioner{mo};
-      for (const auto& [label, options] : tier_sweep(reference())) {
-        SCOPED_TRACE("threads=" + std::to_string(threads) +
-                     " shards=" + std::to_string(shards) + " on " + label);
-        const Graph tiered = io::load_csr_file(csr_path(), options);
-        const EdgePartition actual = partitioner.partition(tiered, config);
-        EXPECT_EQ(actual.raw(), expected.raw());
-      }
+                                    std::size_t{8}, std::size_t{0}}) {
+    MultiTlpOptions mo;
+    mo.num_threads = threads;
+    const MultiTlpPartitioner partitioner{mo};
+    for (const auto& [label, options] : tier_sweep(reference())) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " on " + label);
+      const Graph tiered = io::load_csr_file(csr_path(), options);
+      const EdgePartition actual = partitioner.partition(tiered, config);
+      EXPECT_EQ(actual.raw(), expected.raw());
     }
   }
 }

@@ -165,7 +165,8 @@ int cmd_partition(const std::vector<std::string>& args) {
             << " s\nvalid:      " << (r.valid ? "yes" : "NO") << '\n';
 
   if (args.size() > 4) {
-    const EdgePartition part = partitioner->partition(g, config);
+    // Write the very partition run_partitioner validated and scored.
+    const EdgePartition& part = r.partition;
     std::ofstream out(args[4]);
     if (!out) {
       std::cerr << "cannot write " << args[4] << '\n';
