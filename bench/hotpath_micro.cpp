@@ -1,6 +1,6 @@
 // Hot-path microbenchmark + bit-identity harness for the flattened growth
 // structures (epoch-stamped dense Frontier, flat stage-2 bucket ladder,
-// galloping intersections).
+// per-edge Stage-I support read instead of per-join intersections).
 //
 // The pre-change implementation — candidates in std::unordered_map, stage-2
 // buckets in std::map, the exact code this PR replaced — is embedded below
@@ -16,13 +16,7 @@
 // The run also asserts the steady-state allocation story: a warm RunContext
 // must show zero new arena misses from the second run onward.
 //
-// A third axis sweeps the SIMD intersect kernels (scalar / sse42 / avx2 as
-// the CPU supports them): per-kernel ns/intersection over edge-sampled
-// vertex pairs, per-kernel end-to-end flat time, and the byte-identity of
-// every kernel's partition against the scalar one. `--kernel=NAME` pins a
-// single kernel instead of sweeping (the TLP_KERNEL env var works too —
-// the flag just makes sweeps self-contained). JSON schema is documented in
-// docs/BENCHMARKS.md.
+// JSON schema is documented in docs/BENCHMARKS.md.
 //
 //   hotpath_micro            # full fixture (power-law n≈100k)
 //   hotpath_micro --smoke    # small fixture for CI perf-smoke (tools/check.sh)
@@ -53,7 +47,6 @@
 #include "core/residual.hpp"
 #include "core/tlp.hpp"
 #include "gen/generators.hpp"
-#include "graph/intersect_kernels.hpp"
 #include "partition/metrics.hpp"
 #include "partition/spill.hpp"
 
@@ -547,54 +540,6 @@ double select_loop_ns(FrontierT& f, const AddFn& add, std::size_t k,
   return total_s / static_cast<double>(iters) * 1e9;
 }
 
-/// Edge-sampled vertex pairs for the intersection micro: real adjacency
-/// lists (power-law degrees, hub pairs included) rather than synthetic
-/// arrays, so the merge/gallop mix matches what the partitioners see.
-std::vector<std::pair<VertexId, VertexId>> sample_pairs(const Graph& g,
-                                                        std::size_t want) {
-  std::mt19937_64 rng(1234);
-  std::uniform_int_distribution<EdgeId> pick(0, g.num_edges() - 1);
-  std::vector<std::pair<VertexId, VertexId>> pairs;
-  pairs.reserve(want);
-  for (std::size_t i = 0; i < want; ++i) {
-    const Edge& e = g.edge(pick(rng));
-    pairs.emplace_back(e.u, e.v);
-  }
-  return pairs;
-}
-
-/// ns per common_neighbor_count call over `pairs` through the CURRENTLY
-/// ACTIVE kernel (best of `reps` sweeps). The checksum both defeats DCE
-/// and cross-checks kernels: every kernel must accumulate the same sum.
-std::pair<double, std::uint64_t> intersect_micro_ns(
-    const Graph& g, const std::vector<std::pair<VertexId, VertexId>>& pairs,
-    int reps) {
-  double best_s = std::numeric_limits<double>::infinity();
-  std::uint64_t checksum = 0;
-  for (int r = 0; r < reps + 1; ++r) {  // rep 0 is the untimed warm-up
-    std::uint64_t sum = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (const auto& [u, v] : pairs) {
-      sum += g.common_neighbor_count(u, v);
-    }
-    const double s = seconds_since(t0);
-    if (r > 0) best_s = std::min(best_s, s);
-    checksum = sum;
-  }
-  return {best_s / static_cast<double>(pairs.size()) * 1e9, checksum};
-}
-
-/// One kernel's row of the sweep: micro latency, end-to-end flat time, and
-/// identity of its partition against the scalar reference.
-struct KernelRow {
-  std::string name;
-  double intersect_ns = 0.0;
-  std::uint64_t checksum = 0;
-  double e2e_s = 0.0;
-  bool identical_to_scalar = true;
-  std::uint64_t fp = 0;
-};
-
 SelectMicro select_micro(std::size_t k, int iters) {
   SelectMicro m;
   {
@@ -628,18 +573,8 @@ int main(int argc, char** argv) {
   using namespace tlp::bench;
 
   bool smoke = false;
-  std::string kernel_flag;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strncmp(argv[i], "--kernel=", 9) == 0) kernel_flag = argv[i] + 9;
-  }
-  if (!kernel_flag.empty()) {
-    intersect::Kernel requested{};
-    if (!intersect::kernel_from_name(kernel_flag, requested) ||
-        !intersect::set_active(requested)) {
-      std::cerr << "unknown or unsupported --kernel=" << kernel_flag << "\n";
-      return 2;
-    }
   }
 
   VertexId n = smoke ? 4000 : 100000;
@@ -664,8 +599,7 @@ int main(int argc, char** argv) {
   const Graph g = gen::chung_lu_power_law(n, m, gamma, graph_seed);
   std::cout << g.summary() << " (power-law gamma " << gamma << "), p = "
             << static_cast<int>(p) << (smoke ? ", smoke fixture" : "")
-            << ", active kernel = "
-            << intersect::kernel_name(intersect::active_kind()) << "\n\n";
+            << "\n\n";
 
   PartitionConfig config;
   config.num_partitions = p;
@@ -766,85 +700,6 @@ int main(int argc, char** argv) {
             << "  legacy  " << fmt_double(micro.legacy_ns, 0) << " ns\n"
             << "  flat    " << fmt_double(micro.flat_ns, 0) << " ns\n";
 
-  // --- SIMD kernel sweep: per-kernel intersection micro + e2e + identity ---
-  std::string kernels_json;
-  {
-    const intersect::Kernel entry_kind = intersect::active_kind();
-    // Scalar is always the first row (it is the identity reference);
-    // --kernel restricts the rest of the sweep to that one kernel.
-    std::vector<intersect::Kernel> sweep{intersect::Kernel::kScalar};
-    if (!kernel_flag.empty()) {
-      if (entry_kind != intersect::Kernel::kScalar) sweep.push_back(entry_kind);
-    } else {
-      for (const intersect::Kernel k :
-           {intersect::Kernel::kSse42, intersect::Kernel::kAvx2}) {
-        if (intersect::supported(k)) sweep.push_back(k);
-      }
-    }
-    const auto pairs = sample_pairs(g, smoke ? 20000 : 100000);
-    const int kreps = smoke ? 2 : 3;
-
-    std::vector<KernelRow> rows;
-    std::vector<PartitionId> scalar_raw;
-    for (const intersect::Kernel k : sweep) {
-      (void)intersect::set_active(k);
-      KernelRow row;
-      row.name = intersect::kernel_name(k);
-      const auto [ns, checksum] = intersect_micro_ns(g, pairs, kreps);
-      row.intersect_ns = ns;
-      row.checksum = checksum;
-
-      const TlpPartitioner flat{};
-      RunContext ctx;
-      const EdgePartition part = flat.partition(g, config, ctx);  // warm-up
-      double best_s = std::numeric_limits<double>::infinity();
-      for (int i = 0; i < reps; ++i) {
-        ctx.telemetry().clear();
-        const auto t0 = std::chrono::steady_clock::now();
-        (void)flat.partition(g, config, ctx);
-        best_s = std::min(best_s, seconds_since(t0));
-      }
-      row.e2e_s = best_s;
-      row.fp = fingerprint(part.raw());
-      if (k == intersect::Kernel::kScalar) {
-        scalar_raw = part.raw();
-      } else {
-        row.identical_to_scalar =
-            part.raw() == scalar_raw && checksum == rows.front().checksum;
-      }
-      all_ok = all_ok && row.identical_to_scalar;
-      rows.push_back(std::move(row));
-    }
-    (void)intersect::set_active(entry_kind);
-
-    const double scalar_ns = rows.front().intersect_ns;
-    const double scalar_e2e = rows.front().e2e_s;
-    Table t({"kernel", "intersect ns", "vs scalar", "e2e s", "vs scalar",
-             "identical"});
-    for (const KernelRow& row : rows) {
-      t.add_row({row.name, fmt_double(row.intersect_ns, 1),
-                 fmt_double(scalar_ns / row.intersect_ns, 2) + "x",
-                 fmt_double(row.e2e_s, 4),
-                 fmt_double(scalar_e2e / row.e2e_s, 2) + "x",
-                 row.identical_to_scalar ? "yes" : "NO"});
-      if (!kernels_json.empty()) kernels_json += ',';
-      kernels_json +=
-          "{\"name\":\"" + row.name + "\",\"intersect_ns\":" +
-          fmt_double(row.intersect_ns, 2) +
-          ",\"intersect_speedup_vs_scalar\":" +
-          fmt_double(scalar_ns / row.intersect_ns, 3) + ",\"e2e_s\":" +
-          fmt_double(row.e2e_s, 6) + ",\"e2e_speedup_vs_scalar\":" +
-          fmt_double(scalar_e2e / row.e2e_s, 3) +
-          ",\"identical_to_scalar\":" +
-          (row.identical_to_scalar ? "true" : "false") + ",\"fingerprint\":" +
-          std::to_string(row.fp) + "}";
-    }
-    std::cout << "\nkernel sweep (" << pairs.size()
-              << " edge-sampled intersections; vector target >= 2x scalar "
-                 "micro):\n";
-    t.print(std::cout);
-  }
-
   std::string json =
       "{\"bench\":\"hotpath\",\"mode\":\"" +
       std::string(smoke ? "smoke" : "full") + "\",\"graph\":{\"n\":" +
@@ -860,9 +715,7 @@ int main(int argc, char** argv) {
       fmt_double(e2e.joins, 0) + ",\"joins_per_s\":" +
       fmt_double(joins_per_s, 0) + "},\"select_micro\":{\"legacy_ns\":" +
       fmt_double(micro.legacy_ns, 1) + ",\"flat_ns\":" +
-      fmt_double(micro.flat_ns, 1) + "},\"active_kernel\":\"" +
-      std::string(intersect::kernel_name(intersect::active_kind())) +
-      "\",\"kernels\":[" + kernels_json + "],\"ok\":";
+      fmt_double(micro.flat_ns, 1) + "},\"ok\":";
   json += all_ok ? "true" : "false";
   json += "}";
   std::ofstream("BENCH_hotpath.json") << json << '\n';

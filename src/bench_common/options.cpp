@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "bench_common/datasets.hpp"
 
@@ -65,7 +66,17 @@ StorageOptions bench_storage() {
 
 std::vector<std::size_t> bench_thread_counts() {
   const char* env = std::getenv("TLP_BENCH_THREADS");
-  if (env == nullptr) return {1, 2, 4, 8};
+  if (env == nullptr) {
+    // Default sweep capped at the hardware: an oversubscribed row measures
+    // the scheduler, not the partitioner. 1 is always kept (and is all that
+    // is left when the core count is unknown).
+    const std::size_t hw = std::thread::hardware_concurrency();
+    std::vector<std::size_t> threads{1};
+    for (const std::size_t t : {2u, 4u, 8u}) {
+      if (t <= hw) threads.push_back(t);
+    }
+    return threads;
+  }
   std::vector<std::size_t> threads;
   for (const std::string& item : split_csv(env)) {
     const long value = std::strtol(item.c_str(), nullptr, 10);

@@ -30,7 +30,8 @@ namespace tlp::bench {
 /// Partition counts from TLP_BENCH_PS (default {10, 15, 20}).
 [[nodiscard]] std::vector<PartitionId> bench_partition_counts();
 
-/// Worker-thread counts from TLP_BENCH_THREADS (default {1, 2, 4, 8}).
+/// Worker-thread counts from TLP_BENCH_THREADS (default {1, 2, 4, 8} capped
+/// at std::thread::hardware_concurrency(); 1 is always kept).
 [[nodiscard]] std::vector<std::size_t> bench_thread_counts();
 
 /// Storage tier from TLP_BENCH_STORAGE (default in-memory). make_dataset

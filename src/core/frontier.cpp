@@ -3,9 +3,17 @@
 #include <algorithm>
 #include <functional>
 
+#include "graph/algorithms.hpp"
 #include "util/simd.hpp"
 
 namespace tlp {
+
+ScratchArena::Lease<std::uint32_t> stage1_support(const Graph& g,
+                                                  RunContext& ctx) {
+  const auto timer = ctx.telemetry().time("support_s");
+  return edge_support(g, ctx.arena());
+}
+
 namespace {
 
 /// Exact comparison of M' fractions a1/b1 vs a2/b2 (b >= 0; b == 0 means

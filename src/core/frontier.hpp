@@ -1,7 +1,7 @@
 // Frontier: the candidate set N(P_k) with incremental scores for both of the
 // paper's selection criteria. One implementation serves BOTH growth loops:
-// the sequential TLP run (core/tlp.cpp, frozen residual degrees, lazy μs1
-// upgrades via add_connection) and the concurrent multi-partition run
+// the sequential TLP run (core/tlp.cpp, frozen residual degrees, running
+// μs1 max via add_connection) and the concurrent multi-partition run
 // (core/multi_tlp.cpp, where another partition can steal a candidate's edges
 // so c/rdeg/μs1 are re-stated eagerly via upsert).
 //
@@ -10,9 +10,10 @@
 //    incident edges get assigned (edges are only claimed when their endpoint
 //    joins), so its residual degree r is FROZEN for the round. Its connection
 //    count c to P_k only grows.
-//  * Stage I score μs1 (Eq. 7) is a max over per-member terms that never
-//    change once computed, so a running max updated on each neighboring join
-//    is exact. Selection uses a lazy max-heap.
+//  * Stage I score μs1 (Eq. 7) is a max over per-member terms
+//    support[e] / deg(member) that never change (the support is a static
+//    per-edge constant, stage1_support below), so a running max updated on
+//    each neighboring join is exact. Selection uses a lazy max-heap.
 //  * Stage II score μs2 (Eq. 9) is monotone in M' = (E_in + c)/(E_out + r - 2c).
 //    For fixed (E_in, E_out), M' is increasing in c and decreasing in r, so
 //    within a fixed c the best candidate is the one with minimal r, and the
@@ -49,10 +50,18 @@
 #include <utility>
 #include <vector>
 
+#include "graph/graph.hpp"
 #include "graph/types.hpp"
 #include "partition/run_context.hpp"
 
 namespace tlp {
+
+/// The Eq. 7 numerators for one growth run: edge_support(g)
+/// (graph/algorithms.hpp) leased from ctx's arena and timed as the
+/// `support_s` layer. Stage I then scores candidate u through member v as
+/// support[e] / deg(v), e the edge (u, v) — no intersections during growth.
+[[nodiscard]] ScratchArena::Lease<std::uint32_t> stage1_support(
+    const Graph& g, RunContext& ctx);
 
 class Frontier {
  public:
@@ -92,14 +101,12 @@ class Frontier {
   [[nodiscard]] std::uint32_t connections(VertexId v) const { return at(v).c; }
 
   /// Records that candidate u gained a residual connection to the partition
-  /// via a joining member. The Stage-I contribution (Eq. 7 term
-  /// |N(u) ∩ N(member)| / |N(member)|) can be expensive, so callers pass a
-  /// cheap upper bound plus a thunk computing the exact term; the thunk is
-  /// only invoked when the bound can beat u's current running max. Inserts u
-  /// (with frozen residual degree `residual_degree`) if new.
-  template <typename ScoreFn>
+  /// via a joining member whose Eq. 7 term is `score_term` (the edge's
+  /// support over the member's degree). Inserts u with frozen residual
+  /// degree `residual_degree` if new; otherwise c grows by one and μs1
+  /// becomes max(μs1, score_term).
   void add_connection(VertexId u, std::uint32_t residual_degree,
-                      double score_bound, ScoreFn&& score_fn) {
+                      double score_term) {
     ensure_slot(u);
     Candidate& cand = (*cand_)[u];
     if ((*stamp_)[u] != epoch_) {
@@ -107,7 +114,7 @@ class Frontier {
       ++size_;
       cand.c = 1;
       cand.rdeg = residual_degree;
-      cand.mu1 = score_fn();
+      cand.mu1 = score_term;
       bucket_push(cand.c, cand.rdeg, u);
       stage1_push(cand.mu1, u);
       return;
@@ -115,22 +122,10 @@ class Frontier {
     assert(cand.rdeg == residual_degree);  // frozen within a round
     ++cand.c;
     bucket_push(cand.c, cand.rdeg, u);  // old-c entry is dropped lazily
-    if (score_bound > cand.mu1) {
-      const double term = score_fn();
-      if (term > cand.mu1) {
-        cand.mu1 = term;
-        stage1_push(cand.mu1, u);
-      }
+    if (score_term > cand.mu1) {
+      cand.mu1 = score_term;
+      stage1_push(cand.mu1, u);
     }
-  }
-
-  /// Non-lazy convenience overload (window growth, tests, simple callers).
-  /// Argument order matches the lazy overload: vertex, residual degree,
-  /// then the score term.
-  void add_connection(VertexId u, std::uint32_t residual_degree,
-                      double score_term) {
-    add_connection(u, residual_degree, score_term,
-                   [score_term] { return score_term; });
   }
 
   /// Eager path (concurrent growth): inserts or re-states candidate v with

@@ -13,18 +13,12 @@
 
 #include "core/frontier.hpp"
 #include "core/residual.hpp"
-#include "graph/intersect_kernels.hpp"
 #include "partition/replica_set.hpp"
 #include "partition/spill.hpp"
-#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace tlp {
 namespace {
-
-/// Write-prefetch lookahead for the two-hop counting pass (same rationale
-/// as the sequential run in core/tlp.cpp).
-constexpr std::size_t kCountPrefetchDistance = 8;
 
 class MultiRun {
  public:
@@ -37,6 +31,7 @@ class MultiRun {
         ctx_(ctx),
         pool_(pool),
         num_workers_(num_workers),
+        support_(stage1_support(g, ctx)),
         residual_(g, ctx.arena()),
         partition_(config.num_partitions, g.num_edges()),
         member_(ctx.arena(), g.num_vertices(), config.num_partitions),
@@ -64,10 +59,6 @@ class MultiRun {
       ScratchArena& arena = child.arena();
       workers_.push_back(Worker{
           &child,
-          arena.acquire<std::uint32_t>(n, 0),  // count
-          arena.acquire<VertexId>(0),          // count_touched
-          arena.acquire<VertexId>(0),          // batch_ids
-          arena.acquire<double>(0),            // batch_terms
           arena.acquire<std::uint32_t>(n, 0),  // refreshed
           arena.acquire<std::uint32_t>(n, 0),  // cmark
           arena.acquire<std::uint32_t>(n, 0),  // rmark
@@ -149,10 +140,6 @@ class MultiRun {
   /// changes which thread executes a partition's work.
   struct Worker {
     RunContext* ctx;
-    ScratchArena::Lease<std::uint32_t> count;  ///< two-hop counting pass
-    ScratchArena::Lease<VertexId> count_touched;
-    ScratchArena::Lease<VertexId> batch_ids;    ///< eligible candidates
-    ScratchArena::Lease<double> batch_terms;    ///< batched Eq. 7 terms
     ScratchArena::Lease<std::uint32_t> refreshed;  ///< full-refresh marks
     ScratchArena::Lease<std::uint32_t> cmark;      ///< c_dirty dedup marks
     ScratchArena::Lease<std::uint32_t> rmark;      ///< rdeg_dirty dedup marks
@@ -237,18 +224,16 @@ class MultiRun {
   }
 
   /// Exact μs1 of candidate v for partition k: max over members of k that v
-  /// can still reach via an unassigned edge (Eq. 7 on the static graph).
+  /// can still reach via an unassigned edge e of support[e] / deg(member)
+  /// (Eq. 7 on the static graph).
   [[nodiscard]] double mu_s1(VertexId v, PartitionId k) const {
     double best = 0.0;
     for (const Neighbor& nb : g_.neighbors(v)) {
       if (residual_.is_assigned(nb.edge) || !member_.contains(nb.vertex, k)) {
         continue;
       }
-      const std::size_t dm = g_.degree(nb.vertex);
-      if (dm == 0) continue;
-      best = std::max(best, static_cast<double>(g_.common_neighbor_count(
-                                v, nb.vertex)) /
-                                static_cast<double>(dm));
+      best = std::max(best, static_cast<double>(support_[nb.edge]) /
+                                static_cast<double>(g_.degree(nb.vertex)));
     }
     return best;
   }
@@ -466,31 +451,20 @@ class MultiRun {
   /// Folds partition k's own join into its frontier: remove the new member
   /// and connect its still-residual neighbors. c grows by one per edge and
   /// μs1 is a running max over static terms, so only the new member's
-  /// Eq. 7 term needs computing; like sequential TLP, a single two-hop
-  /// counting pass computes |N(u) ∩ N(v)| for every neighbor at once when
-  /// that is cheaper than per-pair intersections.
+  /// Eq. 7 term, support[e] / deg(v), needs folding in.
   void apply_join(Worker& worker, VertexId v, PartitionId k,
                   std::uint32_t mark) {
     Part& part = parts_[k];
     part.frontier.remove(v);
-    std::size_t two_hop_cost = 0;
-    std::size_t merge_cost = 0;
-    bool any = false;
-    for (const Neighbor& nb : g_.neighbors(v)) {
-      two_hop_cost += g_.degree(nb.vertex);
-      if (nb.vertex == v || residual_.is_assigned(nb.edge)) continue;
-      if (member_.contains(nb.vertex, k)) continue;
-      if (worker.refreshed[nb.vertex] == mark) continue;
-      any = true;
-      merge_cost += Graph::intersection_cost(g_.degree(nb.vertex),
-                                             g_.degree(v));
-    }
-    if (!any) return;
-    const bool use_counting = two_hop_cost < merge_cost;
     const double dv =
         static_cast<double>(std::max<std::size_t>(1, g_.degree(v)));
     auto& frontier = part.frontier;
-    const auto connect = [&](VertexId u, double term) {
+    for (const Neighbor& nb : g_.neighbors(v)) {
+      if (nb.vertex == v || residual_.is_assigned(nb.edge)) continue;
+      const VertexId u = nb.vertex;
+      if (member_.contains(u, k)) continue;
+      if (worker.refreshed[u] == mark) continue;  // refresh counted v already
+      const double term = static_cast<double>(support_[nb.edge]) / dv;
       if (frontier.contains(u)) {
         const auto& cand = frontier.at(u);
         frontier.upsert(u, cand.c + 1, residual_.residual_degree(u),
@@ -498,59 +472,6 @@ class MultiRun {
       } else {
         frontier.upsert(u, 1, residual_.residual_degree(u), term);
         worker.touched_out->push_back(u);
-      }
-    };
-    if (use_counting) {
-      // Two-hop counting pass with the sequential run's prefetch pair:
-      // next one-hop list head, plus the count cells a few iterations
-      // ahead (random-access increments over an O(n) array).
-      const auto hops = g_.neighbor_ids(v);
-      for (std::size_t i = 0; i < hops.size(); ++i) {
-        if (i + 1 < hops.size()) {
-          // Same rung-ahead pair as the sequential run, plus the mapped
-          // tiers' MADV_WILLNEED staging of the next adjacency span.
-          g_.prefetch_neighbor_ids(hops[i + 1]);
-          g_.prefetch_adjacency(hops[i + 1]);
-        }
-        const auto ids = g_.neighbor_ids(hops[i]);
-        for (std::size_t j = 0; j < ids.size(); ++j) {
-          if (j + kCountPrefetchDistance < ids.size()) {
-            simd::prefetch_write(
-                &worker.count[ids[j + kCountPrefetchDistance]]);
-          }
-          const VertexId u = ids[j];
-          if (worker.count[u]++ == 0) worker.count_touched->push_back(u);
-        }
-      }
-      // Batched Eq. 7 divides through the active kernel. Candidates are
-      // collected in adjacency order, so the upserts happen in exactly the
-      // order the per-pair path produces — and every kernel performs the
-      // same correctly-rounded IEEE division, keeping the result
-      // worker-count- AND kernel-invariant.
-      worker.batch_ids->clear();
-      for (const Neighbor& nb : g_.neighbors(v)) {
-        if (nb.vertex == v || residual_.is_assigned(nb.edge)) continue;
-        if (member_.contains(nb.vertex, k)) continue;
-        if (worker.refreshed[nb.vertex] == mark) continue;
-        worker.batch_ids->push_back(nb.vertex);
-      }
-      const std::size_t n = worker.batch_ids->size();
-      worker.batch_terms->resize(n);
-      intersect::active().stage1_terms(worker.count->data(),
-                                       worker.batch_ids->data(), n, dv,
-                                       worker.batch_terms->data());
-      for (std::size_t i = 0; i < n; ++i) {
-        connect((*worker.batch_ids)[i], (*worker.batch_terms)[i]);
-      }
-      for (const VertexId x : *worker.count_touched) worker.count[x] = 0;
-      worker.count_touched->clear();
-    } else {
-      for (const Neighbor& nb : g_.neighbors(v)) {
-        if (nb.vertex == v || residual_.is_assigned(nb.edge)) continue;
-        const VertexId u = nb.vertex;
-        if (member_.contains(u, k)) continue;
-        if (worker.refreshed[u] == mark) continue;  // refresh counted v already
-        connect(u, static_cast<double>(g_.common_neighbor_count(u, v)) / dv);
       }
     }
   }
@@ -674,6 +595,9 @@ class MultiRun {
   ThreadPool* pool_;  ///< nullptr = inline single-worker execution
   std::size_t num_workers_;
 
+  /// Per-edge triangle support (the Eq. 7 numerators), computed once on
+  /// the calling thread and only read by the workers.
+  ScratchArena::Lease<std::uint32_t> support_;
   ResidualState residual_;
   EdgePartition partition_;
   ReplicaSetPool member_;

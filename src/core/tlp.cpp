@@ -11,18 +11,10 @@
 
 #include "core/frontier.hpp"
 #include "core/residual.hpp"
-#include "graph/intersect_kernels.hpp"
 #include "partition/spill.hpp"
-#include "util/simd.hpp"
 
 namespace tlp {
 namespace {
-
-/// How many inner-loop iterations ahead the two-hop counting pass issues a
-/// write prefetch for its count_[u] target. Far enough to beat a memory
-/// round-trip at ~1 increment/cycle, near enough to stay inside most
-/// adjacency lists.
-constexpr std::size_t kCountPrefetchDistance = 8;
 
 /// Per-round tallies, kept in plain locals during the hot loop and flushed
 /// into the telemetry sink once per round (hot joins never touch the
@@ -62,15 +54,12 @@ class GrowthRun {
         config_(config),
         options_(options),
         ctx_(ctx),
+        support_(stage1_support(g, ctx)),
         residual_(g, ctx.arena()),
         partition_(config.num_partitions, g.num_edges()),
         frontier_(ctx.arena(), g.num_vertices()),
         member_round_(ctx.arena().acquire<std::uint32_t>(g.num_vertices(),
                                                          kNoRound)),
-        count_(ctx.arena().acquire<std::uint32_t>(g.num_vertices(), 0)),
-        touched_(ctx.arena().acquire<VertexId>(0)),
-        residual_neighbors_(ctx.arena().acquire<VertexId>(0)),
-        terms_(ctx.arena().acquire<double>(0)),
         seed_order_(ctx.arena().acquire<VertexId>(g.num_vertices())) {
     // A fixed random permutation provides the paper's "select vertex x from
     // G randomly" deterministically: each (re)seed takes the next vertex in
@@ -125,33 +114,15 @@ class GrowthRun {
     return kInvalidVertex;
   }
 
-  /// Stage-I score contribution of candidate u via joining member v (Eq. 7):
-  /// |N(u) ∩ N(v)| / |N(v)| on the static graph.
-  [[nodiscard]] double stage1_term(VertexId u, VertexId v) const {
-    const std::size_t dv = g_.degree(v);
-    if (dv == 0) return 0.0;
-    return static_cast<double>(g_.common_neighbor_count(u, v)) /
-           static_cast<double>(dv);
-  }
-
   /// Adds v to the current partition: claims all residual edges between v
   /// and members, extends the frontier with v's remaining residual edges.
-  ///
-  /// Stage-I scoring strategy is chosen per join: either per-candidate
-  /// sorted-list intersections, or one shared counting pass over v's
-  /// two-hop neighborhood (cn(u, v) for ALL u at once) — the latter removes
-  /// the rdeg(v) * deg(v) blowup when hubs join, which dominates runtime on
-  /// power-law graphs.
+  /// Each candidate u reached through edge e = (u, v) gains the Eq. 7 term
+  /// |N(u) ∩ N(v)| / |N(v)| = support[e] / deg(v).
   void join(VertexId v, PartitionId k) {
     frontier_.remove(v);  // no-op for seeds
     member_round_[v] = current_round_;
-
-    residual_neighbors_->clear();
-    const std::size_t dv = g_.degree(v);
-    std::size_t two_hop_cost = 0;
-    std::size_t merge_cost = 0;
+    const double dv = static_cast<double>(g_.degree(v));
     for (const Neighbor& nb : g_.neighbors(v)) {
-      two_hop_cost += g_.degree(nb.vertex);
       if (residual_.is_assigned(nb.edge)) continue;
       if (is_member(nb.vertex)) {
         residual_.mark_assigned(nb.edge);
@@ -160,64 +131,12 @@ class GrowthRun {
         assert(e_out_ > 0);
         --e_out_;
       } else {
+        // This loop only claims edges between v and members, never one of
+        // u's, so u's residual degree is already frozen for the round.
         ++e_out_;
-        residual_neighbors_->push_back(nb.vertex);
-        merge_cost += Graph::intersection_cost(g_.degree(nb.vertex), dv);
-      }
-    }
-    if (residual_neighbors_->empty() || dv == 0) return;
-
-    if (two_hop_cost < merge_cost) {
-      // Shared counting pass: count_[u] = |N(u) ∩ N(v)| for every two-hop u.
-      // Walks the vertex-only adjacency mirror — this loop is pure memory
-      // bandwidth and never needs the edge ids. Two software prefetches
-      // hide the pass's two cache-miss streams: the NEXT one-hop
-      // neighbor's adjacency head (so list w+1 is in flight while list w
-      // is scanned) and the count_[u] cells a few iterations ahead (the
-      // increments are random-access over an O(n) array).
-      const auto hops = g_.neighbor_ids(v);
-      for (std::size_t i = 0; i < hops.size(); ++i) {
-        if (i + 1 < hops.size()) {
-          // One rung ahead on both ladders: an SW prefetch for the next
-          // list's head line, and (mapped tiers only) a page-granular
-          // MADV_WILLNEED so the kernel stages the whole span behind it.
-          g_.prefetch_neighbor_ids(hops[i + 1]);
-          g_.prefetch_adjacency(hops[i + 1]);
-        }
-        const auto ids = g_.neighbor_ids(hops[i]);
-        for (std::size_t j = 0; j < ids.size(); ++j) {
-          if (j + kCountPrefetchDistance < ids.size()) {
-            simd::prefetch_write(&count_[ids[j + kCountPrefetchDistance]]);
-          }
-          const VertexId u = ids[j];
-          if (count_[u]++ == 0) touched_->push_back(u);
-        }
-      }
-      // Batched Eq. 7 terms through the active kernel: one gather+divide
-      // sweep instead of a scalar division per candidate. Every kernel
-      // performs the same correctly-rounded IEEE double division, so the
-      // terms — and hence the partition — are kernel-invariant.
-      const std::size_t n = residual_neighbors_->size();
-      terms_->resize(n);
-      intersect::active().stage1_terms(count_->data(),
-                                       residual_neighbors_->data(), n,
-                                       static_cast<double>(dv),
-                                       terms_->data());
-      for (std::size_t i = 0; i < n; ++i) {
-        const VertexId u = (*residual_neighbors_)[i];
-        frontier_.add_connection(u, residual_.residual_degree(u),
-                                 (*terms_)[i]);
-      }
-      for (const VertexId u : *touched_) count_[u] = 0;
-      touched_->clear();
-    } else {
-      for (const VertexId u : *residual_neighbors_) {
-        // Upper bound on the Eq. 7 term: |N(u) ∩ N(v)| <= min(deg u, deg v).
-        const double bound =
-            static_cast<double>(std::min(g_.degree(u), dv)) /
-            static_cast<double>(dv);
-        frontier_.add_connection(u, residual_.residual_degree(u), bound,
-                                 [this, u, v] { return stage1_term(u, v); });
+        frontier_.add_connection(
+            nb.vertex, residual_.residual_degree(nb.vertex),
+            static_cast<double>(support_[nb.edge]) / dv);
       }
     }
   }
@@ -343,6 +262,8 @@ class GrowthRun {
   const TlpOptions& options_;
   RunContext& ctx_;
 
+  /// Per-edge triangle support: the Eq. 7 numerators, computed once.
+  ScratchArena::Lease<std::uint32_t> support_;
   ResidualState residual_;
   EdgePartition partition_;
   Frontier frontier_;
@@ -350,12 +271,6 @@ class GrowthRun {
   std::uint32_t current_round_ = kNoRound;
   EdgeId e_in_ = 0;   ///< |E(P_k)| of the partition being grown
   EdgeId e_out_ = 0;  ///< residual external edges of the current partition
-
-  // Scratch reused across joins (two-hop counting and neighbor staging).
-  ScratchArena::Lease<std::uint32_t> count_;
-  ScratchArena::Lease<VertexId> touched_;
-  ScratchArena::Lease<VertexId> residual_neighbors_;
-  ScratchArena::Lease<double> terms_;  ///< batched Eq. 7 terms per join
 
   ScratchArena::Lease<VertexId> seed_order_;
   std::size_t seed_cursor_ = 0;

@@ -4,6 +4,7 @@
 #include <deque>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 #include <unordered_map>
 
 namespace tlp {
@@ -116,6 +117,66 @@ std::vector<std::size_t> triangle_counts(const Graph& g) {
   // every vertex of a triangle is counted exactly twice. Halve.
   for (std::size_t& c : counts) c /= 2;
   return counts;
+}
+
+ScratchArena::Lease<std::uint32_t> edge_support(const Graph& g,
+                                                ScratchArena& arena) {
+  const VertexId n = g.num_vertices();
+  auto support = arena.acquire<std::uint32_t>(g.num_edges(), 0);
+  const auto before = [&g](VertexId a, VertexId b) {
+    const std::size_t da = g.degree(a);
+    const std::size_t db = g.degree(b);
+    return da < db || (da == db && a < b);
+  };
+
+  // Oriented out-lists, stored as positions into neighbors(v) rather than
+  // copied Neighbor records: out[out_begin[v] .. out_begin[v + 1]) are the
+  // positions of v's higher-ranked neighbors, in adjacency order. The
+  // working set is plain vectors, freed on return rather than pooled in
+  // the arena: a one-shot run's peak then holds only the m-entry result.
+  std::vector<EdgeId> out_begin(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<std::uint32_t> out(g.num_edges(), 0);
+  EdgeId next = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    out_begin[v] = next;
+    const auto nbrs = g.neighbors(v);
+    for (std::uint32_t i = 0; i < nbrs.size(); ++i) {
+      if (before(v, nbrs[i].vertex)) out[next++] = i;
+    }
+  }
+  out_begin[n] = next;
+
+  // mark[w] = 1 + position of w in neighbors(u) while u's out-list is
+  // marked, else 0. Each triangle u < v < w (by rank) is seen once: from u,
+  // through its out-neighbor v, at v's out-neighbor w.
+  std::vector<std::uint32_t> mark(n, 0);
+  for (VertexId u = 0; u < n; ++u) {
+    const EdgeId ub = out_begin[u];
+    const EdgeId ue = out_begin[u + 1];
+    if (ue - ub < 2) continue;  // a triangle needs two out-neighbors of u
+    const auto nu = g.neighbors(u);
+    for (EdgeId i = ub; i < ue; ++i) mark[nu[out[i]].vertex] = out[i] + 1;
+    for (EdgeId i = ub; i < ue; ++i) {
+      const Neighbor& uv = nu[out[i]];
+      const auto nv = g.neighbors(uv.vertex);
+      for (EdgeId j = out_begin[uv.vertex]; j < out_begin[uv.vertex + 1];
+           ++j) {
+        const Neighbor& vw = nv[out[j]];
+        const std::uint32_t at = mark[vw.vertex];
+        if (at == 0) continue;
+        ++support[uv.edge];
+        ++support[vw.edge];
+        ++support[nu[at - 1].edge];
+      }
+    }
+    for (EdgeId i = ub; i < ue; ++i) mark[nu[out[i]].vertex] = 0;
+  }
+  return support;
+}
+
+std::vector<std::uint32_t> edge_support(const Graph& g) {
+  ScratchArena arena;
+  return std::move(*edge_support(g, arena));
 }
 
 std::vector<double> local_clustering(const Graph& g) {

@@ -2,9 +2,11 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "util/scratch_arena.hpp"
 
 namespace tlp {
 
@@ -33,6 +35,24 @@ struct ComponentLabels {
 
 /// Number of triangles each vertex participates in (exact, merge-based).
 [[nodiscard]] std::vector<std::size_t> triangle_counts(const Graph& g);
+
+/// Per-edge triangle support: support[e] = |N(u) ∩ N(v)| for every edge
+/// e = (u, v), the number of triangles through e. This is the numerator of
+/// the TLP Stage-I term (Eq. 7) for every (candidate, member) pair, since a
+/// candidate always reaches a member through an edge.
+///
+/// Degree-ordered forward triangle listing: each edge is oriented from the
+/// endpoint of lower (degree, id) rank to the higher one, and each triangle
+/// is found exactly once, from its lowest-ranked vertex, in O(m · sqrt(m))
+/// time. The m-entry result is leased from `arena` (a warm arena serves it
+/// without allocating). The transient working set is one 4-byte adjacency
+/// position per edge (the oriented out-lists) plus O(n) offsets and marks;
+/// it is freed before this call returns.
+[[nodiscard]] ScratchArena::Lease<std::uint32_t> edge_support(
+    const Graph& g, ScratchArena& arena);
+
+/// Convenience form with a private arena.
+[[nodiscard]] std::vector<std::uint32_t> edge_support(const Graph& g);
 
 /// Local clustering coefficient per vertex: triangles(v) / C(deg(v), 2);
 /// 0 for degree < 2.

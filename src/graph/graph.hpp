@@ -3,7 +3,8 @@
 // Every undirected edge has a single EdgeId (its index in edges()) and
 // appears twice in the adjacency structure, once per endpoint. Adjacency
 // lists are sorted by neighbor id, which makes common-neighbor counting
-// (needed by the TLP Stage-I score, Eq. 7 of the paper) a linear merge.
+// (the numerator of the TLP Stage-I score, Eq. 7 of the paper) a linear
+// merge, and lets edge_support() list every triangle in one pass.
 //
 // Graph is a facade over a GraphStorage policy (graph/storage.hpp): the
 // CSR arrays may live in heap vectors (default), in a read-only mapped
@@ -23,10 +24,8 @@
 #include <vector>
 
 #include "graph/edge.hpp"
-#include "graph/intersect_kernels.hpp"
 #include "graph/storage.hpp"
 #include "graph/types.hpp"
-#include "util/simd.hpp"
 
 namespace tlp {
 
@@ -75,9 +74,9 @@ class Graph {
     return {view_.mapped_adj + begin, deg};
   }
 
-  /// Vertex-only view of neighbors(v): same order, 4-byte stride. The
-  /// growth hot path (two-hop counting, common-neighbor intersections)
-  /// walks this mirror instead of the Neighbor pairs — a vertex-only scan
+  /// Vertex-only view of neighbors(v): same order, 4-byte stride. Scans
+  /// that never need the edge ids (common-neighbor intersections) walk
+  /// this mirror instead of the Neighbor pairs — a vertex-only scan
   /// through {vertex, edge} records wastes half its memory bandwidth.
   [[nodiscard]] std::span<const VertexId> neighbor_ids(VertexId v) const {
     assert(v < view_.num_vertices);
@@ -106,56 +105,12 @@ class Graph {
   /// True iff u and v are adjacent. O(log deg) via binary search.
   [[nodiscard]] bool has_edge(VertexId u, VertexId v) const;
 
-  /// Degree skew ratio at or above which common_neighbor_count abandons the
-  /// linear merge for a galloping (exponential-search) scan of the longer
-  /// list: O(d_min · log(d_max / d_min)) instead of O(d_min + d_max).
-  /// Aliases intersect::kGallopSkew — the kernel layer and the cost model
-  /// share one gallop predicate (intersect::chooses_gallop).
-  static constexpr std::size_t kGallopSkew = intersect::kGallopSkew;
-
-  /// Number of common neighbors |N(u) ∩ N(v)|, through the active
-  /// intersect kernel (graph/intersect_kernels.hpp): a lane-parallel block
-  /// merge of the sorted adjacency lists, or a galloping intersection when
-  /// the degrees are skewed by ≥ kGallopSkew× (hub vertices in power-law
-  /// graphs). Every kernel returns the exact count, so results are
-  /// kernel-invariant; operates on neighbor_ids spans, so it is
-  /// tier-agnostic by construction.
+  /// Number of common neighbors |N(u) ∩ N(v)|: a linear merge of the
+  /// sorted vertex-only mirrors, or a galloping scan when the degrees are
+  /// skewed by ≥ intersect::kGallopSkew× (graph/intersect.hpp). Serves
+  /// triangle_counts and the test oracles; the partitioners' Stage I reads
+  /// the per-edge edge_support() instead.
   [[nodiscard]] std::size_t common_neighbor_count(VertexId u, VertexId v) const;
-
-  /// Cost model mirror of common_neighbor_count's dispatch, for callers
-  /// that budget intersections before running them (the TLP join loop
-  /// chooses between per-pair intersections and one shared counting pass
-  /// over the joiner's two-hop neighborhood). Deterministic in the degrees
-  /// alone for a fixed active kernel: the merge cost is quantized to the
-  /// kernel's lane width, and the gallop/merge branch is the kernel's own
-  /// predicate (intersect::chooses_gallop), so model and execution can
-  /// never disagree on the path taken.
-  [[nodiscard]] static std::size_t intersection_cost(std::size_t deg_a,
-                                                     std::size_t deg_b);
-
-  /// Issues a software prefetch for the head of v's vertex-only adjacency
-  /// mirror (the array common_neighbor_count and the two-hop counting pass
-  /// walk). Never faults — safe for any v < num_vertices on any storage
-  /// tier, including unmapped pages of an mmap-tier CSR.
-  void prefetch_neighbor_ids(VertexId v) const {
-    assert(v < view_.num_vertices);
-    const std::size_t begin = view_.offsets[v];
-    const std::size_t deg = view_.offsets[v + 1] - begin;
-    const VertexId* base = is_resident(deg)
-                               ? view_.resident_ids + view_.resident_pos[v]
-                               : view_.mapped_ids + begin;
-    simd::prefetch_read(base);
-  }
-
-  /// Hints the kernel that v's adjacency (both the Neighbor records and
-  /// the vertex-only mirror) will be walked soon: MADV_WILLNEED on the
-  /// mapped span. The growth hot paths call this one frontier rung ahead
-  /// of the two-hop counting scan. No-op for in-memory graphs (the common
-  /// case pays one predictable branch), for resident hybrid vertices, for
-  /// spans under a page, when TLP_MADVISE is off, and off Linux.
-  void prefetch_adjacency(VertexId v) const {
-    if (mapped_) storage_->prefetch_adjacency(v);
-  }
 
   /// Releases the mapped adjacency spans back to the kernel
   /// (MADV_DONTNEED) after a partition run commits; pages re-fault from

@@ -45,7 +45,7 @@ std::atomic<bool> g_madvise_enabled{[] {
 }()};
 
 /// Advice kinds the tiers use; mapped to MADV_* on Linux.
-enum class Advice { kSequential, kNormal, kWillNeed, kDontNeed };
+enum class Advice { kSequential, kNormal, kDontNeed };
 
 /// Issues madvise over [addr, addr+len) rounded out to page boundaries.
 /// Returns true iff a syscall was issued (enabled, Linux, non-empty range).
@@ -65,9 +65,6 @@ bool advise_range(const void* addr, std::size_t len, Advice advice) {
     case Advice::kNormal:
       native = MADV_NORMAL;
       break;
-    case Advice::kWillNeed:
-      native = MADV_WILLNEED;
-      break;
     case Advice::kDontNeed:
       native = MADV_DONTNEED;
       break;
@@ -81,10 +78,6 @@ bool advise_range(const void* addr, std::size_t len, Advice advice) {
   return false;
 #endif
 }
-
-/// A mapped-tier vertex span must clear this floor before a WILLNEED is
-/// worth its syscall: one page of adjacency payload.
-constexpr std::size_t kMinPrefetchBytes = 4096;
 
 using io::csr::Header;
 
@@ -248,19 +241,6 @@ class MmapStorage final : public GraphStorage {
     return fp;
   }
 
-  void prefetch_adjacency(VertexId v) const override {
-    if (!file_.file_backed()) return;
-    const std::size_t begin = view_.offsets[v];
-    const std::size_t deg = view_.offsets[v + 1] - begin;
-    if (deg * sizeof(Neighbor) < kMinPrefetchBytes) return;
-    std::uint64_t issued = 0;
-    issued += advise_range(view_.mapped_adj + begin, deg * sizeof(Neighbor),
-                           Advice::kWillNeed);
-    issued += advise_range(view_.mapped_ids + begin, deg * sizeof(VertexId),
-                           Advice::kWillNeed);
-    madvise_calls_.fetch_add(issued, std::memory_order_relaxed);
-  }
-
   void release_cold_pages() const override {
     if (!file_.file_backed()) return;
     const std::size_t entries = view_.offsets[view_.num_vertices];
@@ -370,24 +350,6 @@ class HybridStorage final : public GraphStorage {
     (file_.file_backed() ? fp.mapped_bytes : fp.resident_bytes) +=
         file_.size();
     return fp;
-  }
-
-  void prefetch_adjacency(VertexId v) const override {
-    if (!file_.file_backed()) return;
-    const std::size_t begin = offsets_[v];
-    const std::size_t deg = offsets_[v + 1] - begin;
-    // Resident vertices (small degree classes and pinned hubs) never fault;
-    // only the mid-band served from the mapping benefits from a WILLNEED.
-    if (deg <= view_.resident_degree_cap || deg >= view_.pinned_min_degree) {
-      return;
-    }
-    if (deg * sizeof(Neighbor) < kMinPrefetchBytes) return;
-    std::uint64_t issued = 0;
-    issued += advise_range(view_.mapped_adj + begin, deg * sizeof(Neighbor),
-                           Advice::kWillNeed);
-    issued += advise_range(view_.mapped_ids + begin, deg * sizeof(VertexId),
-                           Advice::kWillNeed);
-    madvise_calls_.fetch_add(issued, std::memory_order_relaxed);
   }
 
   void release_cold_pages() const override {

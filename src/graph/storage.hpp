@@ -56,8 +56,8 @@ enum class StorageTier : std::uint8_t {
 [[nodiscard]] std::string_view storage_tier_name(StorageTier tier);
 
 /// Process-wide switch for the madvise hints the mapped tiers issue
-/// (MADV_SEQUENTIAL over the load-time validation scan, MADV_WILLNEED
-/// adjacency prefetch, MADV_DONTNEED cold-span release). Initialized from
+/// (MADV_SEQUENTIAL over the load-time validation scan, MADV_DONTNEED
+/// cold-span release). Initialized from
 /// the TLP_MADVISE environment variable ("off"/"0"/"false" disables;
 /// default on); this setter is the in-process override for tests and
 /// benches. Hints are pure performance advice — content and partition
@@ -158,13 +158,6 @@ class GraphStorage {
   [[nodiscard]] virtual StorageTier tier() const = 0;
   [[nodiscard]] virtual const StorageView& view() const = 0;
   [[nodiscard]] virtual MemoryFootprint footprint() const = 0;
-
-  /// Hints the kernel that v's adjacency span will be touched soon
-  /// (MADV_WILLNEED). Mapped tiers issue it only for vertices actually
-  /// served from the mapping and only when the span clears a page-sized
-  /// floor (per-vertex syscalls on short lists would cost more than the
-  /// faults they save); everywhere else this is a no-op.
-  virtual void prefetch_adjacency(VertexId /*v*/) const {}
 
   /// Releases the mapped adjacency spans back to the kernel
   /// (MADV_DONTNEED) once a partition run has committed — the cold spans

@@ -4,6 +4,8 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "bench_common/options.hpp"
 #include "bench_common/table.hpp"
@@ -99,6 +101,19 @@ TEST(OptionsTest, ParsesOverrides) {
   EXPECT_EQ(bench_graph_ids(),
             (std::vector<std::string>{"G1", "G5", "G9"}));
   EXPECT_EQ(bench_partition_counts(), (std::vector<PartitionId>{4, 8}));
+}
+
+TEST(OptionsTest, DefaultThreadSweepIsCappedAtHardware) {
+  const ScopedEnv env("TLP_BENCH_THREADS", nullptr);
+  const std::size_t hw = std::thread::hardware_concurrency();
+  std::vector<std::size_t> expected{1};
+  for (const std::size_t t : {2u, 4u, 8u}) {
+    if (t <= hw) expected.push_back(t);
+  }
+  EXPECT_EQ(bench_thread_counts(), expected);
+  // An explicit list is taken as given, oversubscribed or not.
+  const ScopedEnv explicit_list("TLP_BENCH_THREADS", "1,16");
+  EXPECT_EQ(bench_thread_counts(), (std::vector<std::size_t>{1, 16}));
 }
 
 TEST(OptionsTest, RejectsBadValues) {

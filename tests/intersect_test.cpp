@@ -1,0 +1,150 @@
+// Exactness tests for graph/intersect.hpp: both intersection paths (the
+// linear merge and the galloping scan) must return EXACTLY the count a
+// brute-force oracle returns, on adversarial shapes (length remainders,
+// gallop-boundary skews, empty/disjoint/identical lists, values near
+// VertexId max) and under randomized fuzz.
+
+#include "graph/intersect.hpp"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <vector>
+
+#include "graph/types.hpp"
+
+namespace tlp {
+namespace {
+
+/// Brute-force oracle, structurally unrelated to merge and gallop.
+std::size_t oracle_count(const std::vector<VertexId>& a,
+                         const std::vector<VertexId>& b) {
+  std::size_t c = 0;
+  for (const VertexId x : a) {
+    if (std::binary_search(b.begin(), b.end(), x)) ++c;
+  }
+  return c;
+}
+
+/// Sorted duplicate-free list of `n` values drawn from [0, universe).
+std::vector<VertexId> random_sorted_list(std::mt19937_64& rng, std::size_t n,
+                                         VertexId universe) {
+  std::uniform_int_distribution<VertexId> dist(0, universe - 1);
+  std::vector<VertexId> v;
+  v.reserve(n);
+  while (v.size() < n) v.push_back(dist(rng));
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+  return v;
+}
+
+/// Checks count() in both argument orders, plus the path count()
+/// dispatches to, against the oracle.
+void expect_both_paths_exact(const std::vector<VertexId>& a,
+                              const std::vector<VertexId>& b) {
+  const std::size_t expected = oracle_count(a, b);
+  EXPECT_EQ(intersect::count(a.data(), a.size(), b.data(), b.size()), expected)
+      << "|a|=" << a.size() << " |b|=" << b.size();
+  // Symmetric call exercises the internal swap.
+  EXPECT_EQ(intersect::count(b.data(), b.size(), a.data(), a.size()), expected)
+      << "(swapped)";
+  // Both paths are exact on every shape, whichever one count() picks.
+  const auto& small = a.size() <= b.size() ? a : b;
+  const auto& big = a.size() <= b.size() ? b : a;
+  EXPECT_EQ(intersect::merge(small.data(), small.size(), big.data(),
+                             big.size()),
+            expected)
+      << "merge |a|=" << a.size() << " |b|=" << b.size();
+  EXPECT_EQ(intersect::gallop(small.data(), small.size(), big.data(),
+                              big.size()),
+            expected)
+      << "gallop |a|=" << a.size() << " |b|=" << b.size();
+}
+
+TEST(IntersectKernels, EmptyAndTrivialLists) {
+  const std::vector<VertexId> empty;
+  const std::vector<VertexId> one{7};
+  const std::vector<VertexId> some{1, 5, 9, 12, 40};
+  expect_both_paths_exact(empty, empty);
+  expect_both_paths_exact(empty, some);
+  expect_both_paths_exact(one, some);
+  expect_both_paths_exact(one, one);
+}
+
+TEST(IntersectKernels, DisjointAndIdenticalAcrossLaneRemainders) {
+  // Lengths 0..65: every small length, both fully disjoint and fully
+  // overlapping, so each path's loop exits through every branch.
+  for (std::size_t n = 0; n <= 65; ++n) {
+    std::vector<VertexId> evens;
+    std::vector<VertexId> odds;
+    std::vector<VertexId> same;
+    for (std::size_t i = 0; i < n; ++i) {
+      evens.push_back(static_cast<VertexId>(2 * i));
+      odds.push_back(static_cast<VertexId>(2 * i + 1));
+      same.push_back(static_cast<VertexId>(3 * i));
+    }
+    expect_both_paths_exact(evens, odds);  // fully disjoint, interleaved
+    expect_both_paths_exact(same, same);   // fully overlapping
+  }
+}
+
+TEST(IntersectKernels, MismatchedLengthsEveryPairUpTo17) {
+  std::mt19937_64 rng(7);
+  for (std::size_t na = 0; na <= 17; ++na) {
+    for (std::size_t nb = 0; nb <= 17; ++nb) {
+      const auto a = random_sorted_list(rng, na + 1, 64);
+      const auto b = random_sorted_list(rng, nb + 1, 64);
+      expect_both_paths_exact(a, b);
+    }
+  }
+}
+
+TEST(IntersectKernels, GallopBoundarySkews) {
+  std::mt19937_64 rng(11);
+  // Skews straddling kGallopSkew (16): 15x stays on the merge path, 16x
+  // and 17x take the gallop path. Both paths must agree with the oracle
+  // right at the dispatch boundary.
+  for (const std::size_t na : {1, 3, 5, 8}) {
+    for (const std::size_t skew : {15, 16, 17}) {
+      const std::size_t nb = na * skew;
+      ASSERT_EQ(intersect::chooses_gallop(na, nb),
+                skew >= intersect::kGallopSkew);
+      const auto a = random_sorted_list(
+          rng, na + 1, static_cast<VertexId>(4 * nb + 4));
+      const auto b = random_sorted_list(
+          rng, nb + 1, static_cast<VertexId>(4 * nb + 4));
+      expect_both_paths_exact(a, b);
+    }
+  }
+}
+
+TEST(IntersectKernels, ExtremeValuesNearVertexIdMax) {
+  // Values with the high bit set: the gallop's doubling probe and both
+  // comparisons must stay unsigned (and must not overflow the cursor).
+  const VertexId top = std::numeric_limits<VertexId>::max();
+  std::vector<VertexId> a{0, top - 8, top - 2, top};
+  std::vector<VertexId> b;
+  for (VertexId i = 0; i < 128; ++i) b.push_back(top - 2 * i);
+  std::sort(b.begin(), b.end());
+  expect_both_paths_exact(a, b);
+}
+
+TEST(IntersectKernels, RandomizedDifferentialFuzz) {
+  std::mt19937_64 rng(20260808);
+  std::uniform_int_distribution<std::size_t> len(0, 300);
+  std::uniform_int_distribution<int> universe_pick(0, 2);
+  for (int iter = 0; iter < 400; ++iter) {
+    // Three density regimes: dense overlap, moderate, sparse.
+    const VertexId universe =
+        universe_pick(rng) == 0 ? 64 : (universe_pick(rng) == 1 ? 1024 : 65536);
+    const auto a = random_sorted_list(rng, len(rng) + 1, universe);
+    const auto b = random_sorted_list(rng, len(rng) + 1, universe);
+    expect_both_paths_exact(a, b);
+  }
+}
+
+}  // namespace
+}  // namespace tlp

@@ -1,23 +1,22 @@
-// The tentpole invariant of the SIMD kernel layer: partitions are
-// byte-identical across every kernel x thread x storage tier
-// combination. The kernels change instruction selection, never
-// values; this suite is the executable proof.
-//
-// Kernels are swept in-process via intersect::set_active (the TLP_KERNEL
-// env path is exercised end-to-end by tools/check.sh's kernel-matrix leg,
-// which partitions through the CLI under each env value and byte-compares
-// the outputs).
+// Differential suite on a hub-heavy power-law graph: partitions are
+// byte-identical across thread counts, storage tiers and warm/cold run
+// contexts, and the intersection counts on the hubs match a brute-force
+// oracle. The suite once also swept runtime-dispatched SIMD intersection
+// kernels; Stage I now reads a per-edge support computed once per run
+// (edge_support), and the kernel axis is gone with the kernels.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "core/multi_tlp.hpp"
 #include "core/tlp.hpp"
 #include "gen/generators.hpp"
-#include "graph/intersect_kernels.hpp"
+#include "graph/algorithms.hpp"
 #include "graph/io.hpp"
 #include "graph/storage.hpp"
 
@@ -25,33 +24,11 @@ namespace tlp {
 namespace {
 
 namespace fs = std::filesystem;
-using intersect::Kernel;
-
-/// Pins the scalar kernel for the reference run and restores the process
-/// default on destruction.
-class KernelGuard {
- public:
-  KernelGuard() : saved_(intersect::active_kind()) {}
-  ~KernelGuard() { intersect::set_active(saved_); }
-
- private:
-  Kernel saved_;
-};
-
-std::vector<Kernel> supported_kernels() {
-  std::vector<Kernel> kernels;
-  for (const Kernel k : {Kernel::kScalar, Kernel::kSse42, Kernel::kAvx2}) {
-    if (intersect::supported(k)) kernels.push_back(k);
-  }
-  return kernels;
-}
-
 class KernelDifferential : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    // Power-law graph: hubs make the gallop path and the two-hop counting
-    // pass both fire, so every kernel entry point is on the partition's
-    // critical path.
+    // Power-law graph: hubs give the support pass long out-lists and the
+    // growth loops highly skewed Eq. 7 terms.
     graph_ = new Graph(gen::chung_lu_power_law(2000, 9000, 2.1, 97));
     // PID-unique: ctest -j runs each test row as its own process, and
     // concurrent rows sharing one spill path race write/map/unlink.
@@ -79,10 +56,8 @@ Graph* KernelDifferential::graph_ = nullptr;
 fs::path* KernelDifferential::csr_path_ = nullptr;
 
 TEST_F(KernelDifferential, SequentialTlpKernelInvariant) {
-  KernelGuard guard;
   PartitionConfig config;
   config.num_partitions = 10;
-  ASSERT_TRUE(intersect::set_active(Kernel::kScalar));
   const std::vector<TlpPartitioner> algos = {TlpPartitioner{},
                                              make_tlp_r(0.5)};
   std::vector<EdgePartition> expected;
@@ -90,24 +65,22 @@ TEST_F(KernelDifferential, SequentialTlpKernelInvariant) {
   for (const TlpPartitioner& p : algos) {
     expected.push_back(p.partition(reference(), config));
   }
-  for (const Kernel k : supported_kernels()) {
-    ASSERT_TRUE(intersect::set_active(k));
+  // A warm context reuses the arena-leased support array (and every other
+  // scratch buffer) across runs; reuse must never change a byte.
+  RunContext warm;
+  for (int rep = 0; rep < 2; ++rep) {
     for (std::size_t i = 0; i < algos.size(); ++i) {
-      SCOPED_TRACE(algos[i].name() + " kernel=" +
-                   std::string(intersect::kernel_name(k)));
-      EXPECT_EQ(algos[i].partition(reference(), config).raw(),
+      SCOPED_TRACE(algos[i].name() + " rep=" + std::to_string(rep));
+      EXPECT_EQ(algos[i].partition(reference(), config, warm).raw(),
                 expected[i].raw());
     }
   }
 }
 
 TEST_F(KernelDifferential, FullMatrixKernelThreadsTiers) {
-  KernelGuard guard;
   PartitionConfig config;
   config.num_partitions = 8;
-  // Scalar single-thread in-memory run is the reference for the ENTIRE
-  // matrix.
-  ASSERT_TRUE(intersect::set_active(Kernel::kScalar));
+  // Single-thread in-memory run is the reference for the ENTIRE matrix.
   const EdgePartition expected =
       MultiTlpPartitioner{}.partition(reference(), config);
 
@@ -116,47 +89,45 @@ TEST_F(KernelDifferential, FullMatrixKernelThreadsTiers) {
       {"mmap", StorageOptions::parse("mmap")},
       {"hybrid:8", StorageOptions::parse("hybrid:8")},
   };
-  for (const Kernel k : supported_kernels()) {
-    ASSERT_TRUE(intersect::set_active(k));
-    // 0 = hardware_concurrency (capped at p).
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                      std::size_t{8}, std::size_t{0}}) {
-      MultiTlpOptions mo;
-      mo.num_threads = threads;
-      const MultiTlpPartitioner partitioner{mo};
-      for (const auto& [label, options] : tiers) {
-        SCOPED_TRACE("kernel=" + std::string(intersect::kernel_name(k)) +
-                     " threads=" + std::to_string(threads) + " tier=" +
-                     label);
-        const Graph tiered = io::load_csr_file(csr_path(), options);
-        EXPECT_EQ(partitioner.partition(tiered, config).raw(),
-                  expected.raw());
-      }
+  // 0 = hardware_concurrency (capped at p).
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{8}, std::size_t{0}}) {
+    MultiTlpOptions mo;
+    mo.num_threads = threads;
+    const MultiTlpPartitioner partitioner{mo};
+    for (const auto& [label, options] : tiers) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " tier=" + label);
+      const Graph tiered = io::load_csr_file(csr_path(), options);
+      EXPECT_EQ(partitioner.partition(tiered, config).raw(), expected.raw());
     }
   }
 }
 
 TEST_F(KernelDifferential, CommonNeighborCountsKernelInvariantOnHubs) {
-  KernelGuard guard;
-  // Spot-check Graph::common_neighbor_count itself across kernels on the
-  // highest-degree vertices (where gallop + vector windows engage).
+  // Graph::common_neighbor_count on the highest-degree vertex (where the
+  // gallop path engages) against a std::set_intersection oracle, and the
+  // support of every hub edge against the same count.
   const Graph& g = reference();
   VertexId hub = 0;
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     if (g.degree(v) > g.degree(hub)) hub = v;
   }
-  ASSERT_TRUE(intersect::set_active(Kernel::kScalar));
-  std::vector<std::size_t> expected;
+  const auto oracle = [&g](VertexId a, VertexId b) {
+    const auto na = g.neighbor_ids(a);
+    const auto nb = g.neighbor_ids(b);
+    std::vector<VertexId> common;
+    std::set_intersection(na.begin(), na.end(), nb.begin(), nb.end(),
+                          std::back_inserter(common));
+    return common.size();
+  };
   const VertexId probe_count = std::min<VertexId>(g.num_vertices(), 200);
   for (VertexId v = 0; v < probe_count; ++v) {
-    expected.push_back(g.common_neighbor_count(hub, v));
+    ASSERT_EQ(g.common_neighbor_count(hub, v), oracle(hub, v)) << "v=" << v;
   }
-  for (const Kernel k : supported_kernels()) {
-    ASSERT_TRUE(intersect::set_active(k));
-    for (VertexId v = 0; v < probe_count; ++v) {
-      ASSERT_EQ(g.common_neighbor_count(hub, v), expected[v])
-          << "kernel=" << intersect::kernel_name(k) << " v=" << v;
-    }
+  const std::vector<std::uint32_t> support = edge_support(g);
+  for (const Neighbor& nb : g.neighbors(hub)) {
+    ASSERT_EQ(support[nb.edge], oracle(hub, nb.vertex))
+        << "hub edge to " << nb.vertex;
   }
 }
 

@@ -123,7 +123,7 @@ TEST(Telemetry, ScopedTimerAddsElapsed) {
   {
     auto timer = t.time("phase_s");
     volatile unsigned sink = 0;
-    for (unsigned i = 0; i < 100000; ++i) sink += i;
+    for (unsigned i = 0; i < 100000; ++i) sink = sink + i;
   }
   EXPECT_GT(t.timer_seconds("phase_s"), 0.0);
   const double after_first = t.timer_seconds("phase_s");

@@ -18,11 +18,8 @@
 # BENCH_hotpath.json left behind as the artifact. The out-of-core leg caps
 # the heap with `ulimit -d` below the CSR size and requires the hybrid
 # storage tier to reproduce the uncapped reference partition byte-for-byte
-# while the in-memory control run dies on the same cap. The kernel-matrix
-# leg reruns the kernel differential suites through the TLP_KERNEL env path
-# (scalar and best vector) and byte-compares CLI partition outputs across
-# kernels; the nosimd leg builds with -DTLP_DISABLE_SIMD=ON and proves the
-# scalar-only configuration still passes the kernel and graph suites.
+# while the in-memory control run dies on the same cap. The tier-1 build
+# compiles with -DTLP_WERROR=ON: a new warning fails the check.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -42,8 +39,8 @@ run_suite() {
   (cd "$dir" && ctest --output-on-failure -j "$JOBS")
 }
 
-# Tier-1: the roadmap's verify command.
-run_suite build
+# Tier-1: the roadmap's verify command, with warnings as errors.
+run_suite build -DTLP_WERROR=ON
 
 # Refinement smoke (~seconds): the gain-heap unit suite, the differential
 # suite against the greedy oracle, and the parallel mover's bit-identity
@@ -135,45 +132,5 @@ if sh -c "ulimit -d $ING_CAP_KB; \
 fi
 echo "-- in-memory control build failed under the cap, as required"
 
-# Kernel matrix: the SIMD dispatch layer must be value-invisible. Probe 1
-# reruns the kernel differential suites end-to-end through the TLP_KERNEL
-# env path — once pinned to scalar, once requesting avx2 (which degrades to
-# the best supported vector ISA, or scalar, on lesser machines; the suites
-# additionally sweep every supported kernel in-process via set_active).
-echo "== kernel matrix: differential suites under TLP_KERNEL =="
-(cd build && TLP_KERNEL=scalar ctest --output-on-failure \
-  -R 'IntersectKernels|IntersectionCost|KernelDifferential')
-(cd build && TLP_KERNEL=avx2 ctest --output-on-failure \
-  -R 'IntersectKernels|IntersectionCost|KernelDifferential')
-
-# Probe 2: whole-binary byte-compare. Partition one power-law graph through
-# the CLI under each TLP_KERNEL value and cmp the .parts files — scalar vs
-# best vector, for both the sequential and the parallel partitioner.
-echo "== kernel matrix: CLI partition byte-compare =="
-cmake --build build-release -j "$JOBS" --target tlp_cli
-KM_DIR="build-release/kernel-matrix"
-mkdir -p "$KM_DIR"
-build-release/tools/tlp_cli generate cl "$KM_DIR/cl.tlpc" 4000 24000 2.1 \
-  2> /dev/null
-for ALGO in tlp multi_tlp; do
-  TLP_KERNEL=scalar build-release/tools/tlp_cli partition "$KM_DIR/cl.tlpc" \
-    "$ALGO" 8 0 "$KM_DIR/$ALGO.scalar.parts" > /dev/null 2>&1
-  TLP_KERNEL=avx2 build-release/tools/tlp_cli partition "$KM_DIR/cl.tlpc" \
-    "$ALGO" 8 0 "$KM_DIR/$ALGO.vector.parts" > /dev/null 2>&1
-  cmp "$KM_DIR/$ALGO.scalar.parts" "$KM_DIR/$ALGO.vector.parts"
-  echo "-- $ALGO: scalar and vector kernel outputs byte-identical"
-done
-
-# Scalar-only configuration: -DTLP_DISABLE_SIMD=ON compiles the vector
-# kernels out entirely; dispatch must resolve to scalar (whatever
-# TLP_KERNEL says) and the kernel + graph suites must still pass.
-echo "== configure build-nosimd (-DTLP_DISABLE_SIMD=ON) =="
-cmake -B build-nosimd -S . -DTLP_DISABLE_SIMD=ON \
-  -DTLP_BUILD_BENCH=OFF -DTLP_BUILD_EXAMPLES=OFF > /dev/null
-cmake --build build-nosimd -j "$JOBS" \
-  --target intersect_kernels_test kernel_differential_test graph_test
-(cd build-nosimd && TLP_KERNEL=avx2 ctest --output-on-failure \
-  -R 'IntersectKernels|IntersectionCost|KernelDifferential|Graph')
-
 echo "check.sh: tier-1 + ASan + UBSan + TSan + perf + out-of-core +" \
-     "kernel-matrix + nosimd green"
+     "ingest green"
