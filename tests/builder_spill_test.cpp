@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <random>
 #include <string>
 #include <vector>
@@ -61,6 +62,13 @@ struct SpillCase {
   const char* name;
   std::size_t budget;
 };
+
+// Without this, gtest prints the case as raw struct bytes, which include the
+// address of `name`; the listed test names would then change from one process
+// to the next with the address-space layout.
+void PrintTo(const SpillCase& c, std::ostream* os) {
+  *os << "budget=" << c.budget;
+}
 
 class BuilderSpill : public ::testing::TestWithParam<SpillCase> {};
 
