@@ -7,13 +7,14 @@
 //
 // Algorithms: tlp (default), metis, ldg, dbh, random, grid, greedy, hdrf, ne.
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 
 #include "bench_common/runner.hpp"
 #include "graph/io.hpp"
 #include "partition/metrics.hpp"
+#include "partition/partition_io.hpp"
 #include "partition/registry.hpp"
 #include "partition/validator.hpp"
 
@@ -48,21 +49,12 @@ int main(int argc, char** argv) {
     const EdgePartition partition = partitioner->partition(g, config);
     validate_or_throw(g, partition, config);
 
-    std::ofstream out(output);
-    if (!out) {
-      std::cerr << "cannot open " << output << " for writing\n";
-      return 1;
-    }
-    out << "# " << algorithm << " p=" << config.num_partitions
-        << " seed=" << config.seed << " rf="
-        << replication_factor(g, partition) << '\n';
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      const Edge& edge = g.edge(e);
-      out << edge.u << ' ' << edge.v << ' ' << partition.partition_of(e)
-          << '\n';
-    }
-    std::cerr << "wrote " << output << "  rf="
-              << replication_factor(g, partition)
+    const double rf = replication_factor(g, partition);
+    std::ostringstream header;
+    header << "# " << algorithm << " p=" << config.num_partitions
+           << " seed=" << config.seed << " rf=" << rf;
+    io::write_partition_text_file(g, partition, output, header.str());
+    std::cerr << "wrote " << output << "  rf=" << rf
               << " balance=" << balance_factor(partition) << '\n';
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';

@@ -1,24 +1,39 @@
 #include "partition/metrics.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
-#include <unordered_set>
+#include <span>
+
+#include "partition/replica_set.hpp"
 
 namespace tlp {
 namespace {
 
-/// Visits each (vertex, partition) incidence pair exactly once.
+/// Visits each (vertex, partition) incidence pair exactly once, in vertex
+/// then partition order. One scan of the edges in id order fills every
+/// vertex's replica bitset, so the cost is O(m + n * ceil(p/64)) with a
+/// transient n * ceil(p/64) * 8 B slab. Ids outside [0, p) are skipped, as
+/// EdgePartition::edge_counts() does (the validator reports them).
 template <typename Fn>
 void for_each_vertex_partition(const Graph& g, const EdgePartition& partition,
                                Fn&& fn) {
-  std::unordered_set<PartitionId> seen;
+  const PartitionId p = partition.num_partitions();
+  ReplicaSetPool replicas(g.num_vertices(), p);
+  const std::span<const Edge> edges = g.edges();
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    const PartitionId k = partition.partition_of(e);
+    if (k >= p) continue;  // kNoPartition or out of range
+    replicas.insert(edges[e].u, k);
+    replicas.insert(edges[e].v, k);
+  }
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    seen.clear();
-    for (const Neighbor& nb : g.neighbors(v)) {
-      const PartitionId p = partition.partition_of(nb.edge);
-      if (p != kNoPartition && seen.insert(p).second) {
-        fn(v, p);
+    const std::uint64_t* words = replicas.words(v);
+    for (std::size_t w = 0; w < replicas.words_per_vertex(); ++w) {
+      for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+        fn(v, static_cast<PartitionId>(w * 64 + std::countr_zero(bits)));
       }
     }
   }

@@ -10,7 +10,10 @@
 namespace tlp {
 
 /// Number of distinct partitions each vertex's incident edges touch
-/// (its replica count; 0 for isolated vertices).
+/// (its replica count; 0 for isolated vertices). This and the two scores
+/// below scan the edges once in id order into per-vertex replica bitsets:
+/// O(m + n * ceil(p/64)) time, n * ceil(p/64) * 8 B transient memory.
+/// Unassigned edges and ids >= p count for no partition.
 [[nodiscard]] std::vector<PartitionId> replica_counts(
     const Graph& g, const EdgePartition& partition);
 

@@ -6,8 +6,11 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 namespace tlp::io {
 namespace {
@@ -18,6 +21,19 @@ namespace {
 
 constexpr std::array<char, 4> kMagic = {'T', 'L', 'P', 'P'};
 constexpr std::uint32_t kVersion = 1;
+
+/// Text rows are formatted into one buffer of this size, and a full buffer
+/// goes to the stream in one write.
+constexpr std::size_t kTextChunkBytes = std::size_t{64} << 10;
+/// Longest text row: three 10-digit uint32 fields, two spaces, a newline.
+constexpr std::ptrdiff_t kMaxRowBytes = 3 * 10 + 3;
+
+/// Closes `out`, flushing what its buffer still holds, and throws if that
+/// or any earlier write failed.
+void close_or_fail(std::ofstream& out, const std::string& format) {
+  out.close();
+  if (!out) fail("I/O error while writing " + format + " partition");
+}
 
 template <typename T>
 void write_pod(std::ostream& out, const T& value) {
@@ -40,21 +56,43 @@ std::uint64_t edge_key(VertexId u, VertexId v) {
 }  // namespace
 
 void write_partition_text(const Graph& g, const EdgePartition& partition,
-                          std::ostream& out) {
-  out << "# tlp edge partition: p=" << partition.num_partitions()
-      << " m=" << partition.num_edges() << '\n';
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    out << g.edge(e).u << ' ' << g.edge(e).v << ' ' << partition.partition_of(e)
-        << '\n';
+                          std::ostream& out, std::string_view header) {
+  if (header.empty()) {
+    out << "# tlp edge partition: p=" << partition.num_partitions()
+        << " m=" << partition.num_edges() << '\n';
+  } else {
+    out << header << '\n';
   }
+
+  std::vector<char> buffer(kTextChunkBytes);
+  char* const begin = buffer.data();
+  char* const end = begin + buffer.size();
+  char* pos = begin;
+  const auto put = [&](std::uint32_t value, char separator) {
+    pos = std::to_chars(pos, end, value).ptr;
+    *pos++ = separator;
+  };
+  const std::span<const Edge> edges = g.edges();
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    if (end - pos < kMaxRowBytes) {
+      out.write(begin, pos - begin);
+      pos = begin;
+    }
+    put(edges[e].u, ' ');
+    put(edges[e].v, ' ');
+    put(partition.partition_of(e), '\n');
+  }
+  out.write(begin, pos - begin);
   if (!out) fail("I/O error while writing text partition");
 }
 
 void write_partition_text_file(const Graph& g, const EdgePartition& partition,
-                               const std::filesystem::path& path) {
+                               const std::filesystem::path& path,
+                               std::string_view header) {
   std::ofstream out(path);
   if (!out) fail("cannot open '" + path.string() + "' for writing");
-  write_partition_text(g, partition, out);
+  write_partition_text(g, partition, out, header);
+  close_or_fail(out, "text");
 }
 
 EdgePartition read_partition_text(const Graph& g, std::istream& in) {
@@ -123,9 +161,9 @@ void write_partition_binary(const EdgePartition& partition,
   write_pod(out, kVersion);
   write_pod(out, partition.num_partitions());
   write_pod(out, partition.num_edges());
-  for (EdgeId e = 0; e < partition.num_edges(); ++e) {
-    write_pod(out, partition.partition_of(e));
-  }
+  out.write(reinterpret_cast<const char*>(partition.raw().data()),
+            static_cast<std::streamsize>(partition.raw().size() *
+                                         sizeof(PartitionId)));
   if (!out) fail("I/O error while writing binary partition");
 }
 
@@ -134,6 +172,7 @@ void write_partition_binary_file(const EdgePartition& partition,
   std::ofstream out(path, std::ios::binary);
   if (!out) fail("cannot open '" + path.string() + "' for writing");
   write_partition_binary(partition, out);
+  close_or_fail(out, "binary");
 }
 
 EdgePartition read_partition_binary(std::istream& in) {

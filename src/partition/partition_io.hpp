@@ -8,15 +8,22 @@
 
 #include <filesystem>
 #include <iosfwd>
+#include <string_view>
 
 #include "partition/edge_partition.hpp"
 
 namespace tlp::io {
 
+/// Writes `header` (one '#' comment line, given without its newline; empty
+/// selects "# tlp edge partition: p=<p> m=<m>"), then one "u v partition"
+/// row per edge in EdgeId order; an unassigned edge prints kNoPartition.
+/// Throws std::runtime_error if any write fails. The _file variant closes
+/// the file before returning and throws if the final flush fails too.
 void write_partition_text(const Graph& g, const EdgePartition& partition,
-                          std::ostream& out);
+                          std::ostream& out, std::string_view header = {});
 void write_partition_text_file(const Graph& g, const EdgePartition& partition,
-                               const std::filesystem::path& path);
+                               const std::filesystem::path& path,
+                               std::string_view header = {});
 
 /// Reads a text .parts file against `g`: every line's edge is located by
 /// its endpoints. Throws std::runtime_error on malformed lines, unknown

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
+#include <set>
 
 #include "core/tlp.hpp"
 #include "gen/generators.hpp"
@@ -55,6 +57,81 @@ TEST(ReplicationFactor, WorstCaseStarAllPartitionsDistinct) {
   for (EdgeId e = 0; e < 4; ++e) p.assign(e, static_cast<PartitionId>(e));
   // Center replicated 4x, each leaf once: RF = (4 + 4) / 5.
   EXPECT_DOUBLE_EQ(replication_factor(g, p), 8.0 / 5.0);
+}
+
+/// Replica sets from per-vertex std::set membership over the adjacency:
+/// the oracle for the edge-order bitset scan.
+struct ReplicaOracle {
+  std::vector<PartitionId> replicas;
+  std::vector<std::size_t> vertex_counts;
+  double rf = 1.0;
+};
+
+ReplicaOracle replica_oracle(const Graph& g, const EdgePartition& part) {
+  ReplicaOracle oracle;
+  oracle.vertex_counts.assign(part.num_partitions(), 0);
+  std::size_t replicas = 0;
+  std::size_t covered = 0;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    std::set<PartitionId> seen;
+    for (const Neighbor& nb : g.neighbors(v)) {
+      const PartitionId k = part.partition_of(nb.edge);
+      if (k != kNoPartition) seen.insert(k);
+    }
+    for (const PartitionId k : seen) ++oracle.vertex_counts[k];
+    oracle.replicas.push_back(static_cast<PartitionId>(seen.size()));
+    replicas += seen.size();
+    covered += seen.empty() ? 0 : 1;
+  }
+  if (covered > 0) {
+    oracle.rf = static_cast<double>(replicas) / static_cast<double>(covered);
+  }
+  return oracle;
+}
+
+// Random partitions across the bitset word boundaries (p = 63, 64, 65, and
+// three words at 130), with unassigned edges and isolated vertices.
+TEST(ReplicationFactor, MatchesSetOracleOnRandomPartitions) {
+  const Graph base = gen::chung_lu_power_law(900, 5000, 2.1, 17);
+  // 60 isolated vertices past the generated ones.
+  const Graph g = Graph::from_edges(
+      base.num_vertices() + 60,
+      EdgeList(base.edges().begin(), base.edges().end()));
+  std::mt19937_64 rng(29);
+  for (const PartitionId p : {1u, 2u, 63u, 64u, 65u, 130u}) {
+    for (const double unassigned : {0.0, 0.2}) {
+      SCOPED_TRACE("p=" + std::to_string(p) +
+                   " unassigned=" + std::to_string(unassigned));
+      std::uniform_int_distribution<PartitionId> pick(0, p - 1);
+      std::bernoulli_distribution skip(unassigned);
+      EdgePartition part(p, g.num_edges());
+      for (EdgeId e = 0; e < g.num_edges(); ++e) {
+        if (!skip(rng)) part.assign(e, pick(rng));
+      }
+      const ReplicaOracle oracle = replica_oracle(g, part);
+      EXPECT_EQ(replica_counts(g, part), oracle.replicas);
+      EXPECT_EQ(vertex_counts(g, part), oracle.vertex_counts);
+      EXPECT_EQ(replication_factor(g, part), oracle.rf);
+    }
+  }
+}
+
+TEST(ReplicationFactor, AllUnassignedIsNeutral) {
+  const Graph g = gen::path_graph(5);
+  const EdgePartition part(3, g.num_edges());
+  EXPECT_EQ(replica_counts(g, part), std::vector<PartitionId>(5, 0));
+  EXPECT_EQ(vertex_counts(g, part), std::vector<std::size_t>(3, 0));
+  EXPECT_EQ(replication_factor(g, part), 1.0);
+}
+
+// Out-of-range ids (an invalid partition; the validator reports them) are
+// skipped like kNoPartition rather than indexing past the bitsets.
+TEST(ReplicationFactor, SkipsOutOfRangeIds) {
+  const Graph g = gen::path_graph(3);  // e0=(0,1), e1=(1,2)
+  const EdgePartition part(2, std::vector<PartitionId>{1, 7});
+  EXPECT_EQ(replica_counts(g, part), (std::vector<PartitionId>{1, 1, 0}));
+  EXPECT_EQ(vertex_counts(g, part), (std::vector<std::size_t>{0, 2}));
+  EXPECT_EQ(replication_factor(g, part), 1.0);
 }
 
 TEST(BalanceFactor, PerfectAndSkewed) {

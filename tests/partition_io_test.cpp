@@ -1,11 +1,18 @@
 // Tests for partition serialization (text .parts and binary formats).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <sstream>
 #include <stdexcept>
+#include <streambuf>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/tlp.hpp"
 #include "gen/generators.hpp"
+#include "graph/io.hpp"
 #include "partition/partition_io.hpp"
 
 namespace tlp::io {
@@ -25,6 +32,164 @@ TEST(PartitionText, RoundTrip) {
   const EdgePartition reloaded = read_partition_text(g, buffer);
   EXPECT_EQ(reloaded.raw(), original.raw());
   EXPECT_EQ(reloaded.num_partitions(), 4u);
+}
+
+/// The text writer as it was before rows were buffered, kept verbatim
+/// (plus the header argument): the byte oracle for the buffered writer.
+std::string reference_text(const Graph& g, const EdgePartition& partition,
+                           const std::string& header = {}) {
+  std::ostringstream out;
+  if (header.empty()) {
+    out << "# tlp edge partition: p=" << partition.num_partitions()
+        << " m=" << partition.num_edges() << '\n';
+  } else {
+    out << header << '\n';
+  }
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    out << g.edge(e).u << ' ' << g.edge(e).v << ' ' << partition.partition_of(e)
+        << '\n';
+  }
+  return out.str();
+}
+
+std::string written_text(const Graph& g, const EdgePartition& partition,
+                         const std::string& header = {}) {
+  std::ostringstream out;
+  write_partition_text(g, partition, out, header);
+  return out.str();
+}
+
+/// Byte comparison reporting the first difference. EXPECT_EQ on megabyte
+/// strings would build gtest's quadratic line diff on failure.
+void expect_same_bytes(const std::string& actual, const std::string& expected) {
+  if (actual == expected) return;
+  const std::size_t at = static_cast<std::size_t>(
+      std::mismatch(actual.begin(), actual.end(), expected.begin(),
+                    expected.end())
+          .first -
+      actual.begin());
+  ADD_FAILURE() << "first difference at byte " << at << " (sizes "
+                << actual.size() << " vs " << expected.size() << "): got \""
+                << actual.substr(at, 40) << "\", expected \""
+                << expected.substr(at, 40) << '"';
+}
+
+std::vector<std::pair<std::string, StorageOptions>> tiers() {
+  return {{"in_memory", StorageOptions::parse("in_memory")},
+          {"mmap", StorageOptions::parse("mmap")},
+          {"hybrid:4", StorageOptions::parse("hybrid:4")}};
+}
+
+/// Partition ids cycling through every decimal width of a uint32, both
+/// sides of each power of ten, ending with the unassigned sentinel.
+std::vector<PartitionId> wide_ids() {
+  std::vector<PartitionId> ids = {0};
+  for (std::uint64_t ten = 10; ten <= 1'000'000'000; ten *= 10) {
+    ids.push_back(static_cast<PartitionId>(ten - 1));
+    ids.push_back(static_cast<PartitionId>(ten));
+  }
+  ids.push_back(kNoPartition - 1);
+  ids.push_back(kNoPartition);
+  return ids;
+}
+
+EdgePartition cycling_partition(EdgeId m, const std::vector<PartitionId>& ids) {
+  EdgePartition part(kNoPartition, m);
+  for (EdgeId e = 0; e < m; ++e) part.assign(e, ids[e % ids.size()]);
+  return part;
+}
+
+TEST(PartitionTextWriter, MatchesReferenceOnEveryTier) {
+  std::vector<std::pair<std::string, Graph>> graphs;
+  graphs.emplace_back("empty", Graph::from_edges(0, {}));
+  graphs.emplace_back("one_edge", Graph::from_edges(2, {{0, 1}}));
+  // ~1 MiB of rows: the 64 KiB buffer fills and flushes many times.
+  graphs.emplace_back("large", gen::erdos_renyi(30'000, 80'000, 5));
+  // Vertex ids on both sides of every power of ten up to 10^6.
+  EdgeList wide;
+  for (VertexId ten = 10; ten <= 1'000'000; ten *= 10) {
+    wide.push_back({ten - 1, ten});
+    wide.push_back({0, ten - 1});
+    wide.push_back({1, ten});
+  }
+  graphs.emplace_back("digit_widths", Graph::from_edges(1'000'001, wide));
+
+  for (const auto& [name, reference] : graphs) {
+    for (const auto& [tier, options] : tiers()) {
+      SCOPED_TRACE(name + " tier=" + tier);
+      const Graph g = io::with_tier(reference, options);
+      const EdgePartition tlp_part = g.num_edges() == 0
+                                         ? EdgePartition(4, EdgeId{0})
+                                         : make_partition(g, 4);
+      expect_same_bytes(written_text(g, tlp_part),
+                        reference_text(g, tlp_part));
+      const EdgePartition wide_part =
+          cycling_partition(g.num_edges(), wide_ids());
+      const std::string header =
+          "# algo=2ps p=4294967295 seed=18446744073709551615";
+      expect_same_bytes(written_text(g, wide_part, header),
+                        reference_text(g, wide_part, header));
+    }
+  }
+}
+
+TEST(PartitionTextWriter, UnassignedEdgePrintsSentinel) {
+  const Graph g = gen::path_graph(3);
+  EdgePartition part(2, g.num_edges());
+  part.assign(1, 1);
+  EXPECT_EQ(written_text(g, part),
+            "# tlp edge partition: p=2 m=2\n0 1 4294967295\n1 2 1\n");
+}
+
+/// Accepts `capacity` bytes, then refuses every further write.
+class FullAfter : public std::streambuf {
+ public:
+  explicit FullAfter(std::size_t capacity) : capacity_(capacity) {}
+
+ protected:
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    const auto room = static_cast<std::streamsize>(capacity_);
+    const std::streamsize taken = std::min(n, room);
+    capacity_ -= static_cast<std::size_t>(taken);
+    return taken;
+  }
+  int_type overflow(int_type ch) override {
+    if (capacity_ == 0) return traits_type::eof();
+    --capacity_;
+    return traits_type::not_eof(ch);
+  }
+
+ private:
+  std::size_t capacity_;
+};
+
+TEST(PartitionTextWriter, ThrowsOnFailedStream) {
+  const Graph g = gen::erdos_renyi(2'000, 12'000, 7);
+  const EdgePartition part = make_partition(g, 4);
+
+  std::ostringstream failed;
+  failed.setstate(std::ios::badbit);
+  EXPECT_THROW(write_partition_text(g, part, failed), std::runtime_error);
+
+  // Refusal at the header, within the first chunk, and at the second.
+  for (const std::size_t capacity : {0u, 100u, 70'000u}) {
+    SCOPED_TRACE("capacity=" + std::to_string(capacity));
+    FullAfter sink(capacity);
+    std::ostream out(&sink);
+    EXPECT_THROW(write_partition_text(g, part, out), std::runtime_error);
+  }
+}
+
+// The rows of a small graph still sit in the file buffer when the writer
+// returns, so only the close reports the failure.
+TEST(PartitionTextWriter, FileThrowsWhenFinalFlushFails) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const Graph g = gen::path_graph(10);
+  const EdgePartition part = make_partition(g, 2);
+  EXPECT_THROW(write_partition_text_file(g, part, "/dev/full"),
+               std::runtime_error);
+  EXPECT_THROW(write_partition_binary_file(part, "/dev/full"),
+               std::runtime_error);
 }
 
 TEST(PartitionText, AcceptsReversedEndpointsAndComments) {

@@ -40,6 +40,7 @@
 #include "graph/io.hpp"
 #include "graph/stats.hpp"
 #include "partition/metrics.hpp"
+#include "partition/partition_io.hpp"
 #include "partition/registry.hpp"
 #include "partition/validator.hpp"
 
@@ -166,18 +167,10 @@ int cmd_partition(const std::vector<std::string>& args) {
 
   if (args.size() > 4) {
     // Write the very partition run_partitioner validated and scored.
-    const EdgePartition& part = r.partition;
-    std::ofstream out(args[4]);
-    if (!out) {
-      std::cerr << "cannot write " << args[4] << '\n';
-      return 1;
-    }
-    out << "# algo=" << args[1] << " p=" << config.num_partitions
-        << " seed=" << config.seed << '\n';
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      out << g.edge(e).u << ' ' << g.edge(e).v << ' ' << part.partition_of(e)
-          << '\n';
-    }
+    io::write_partition_text_file(
+        g, r.partition, args[4],
+        "# algo=" + args[1] + " p=" + std::to_string(config.num_partitions) +
+            " seed=" + std::to_string(config.seed));
     std::cerr << "wrote " << args[4] << '\n';
   }
   return 0;
